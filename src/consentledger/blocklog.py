@@ -162,18 +162,23 @@ class MemoryLogStore:
 
 
 class FileLogStore:
-    """Append-only log file of [u32 record length][record bytes]."""
+    """Append-only log file of [u32 record length][record bytes].
+
+    Opening a store reads and creates nothing: the file is created by the
+    first append, so read-only users never touch the filesystem. Reading
+    a torn record raises WireError.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._count = sum(1 for _ in self) if self.path.exists() else 0
-        self._handle = open(self.path, "ab")
+        self._handle = None
 
     def append(self, record: bytes) -> None:
+        if self._handle is None:
+            self._handle = open(self.path, "ab")
         self._handle.write(wire.pack_u32(len(record)))
         self._handle.write(record)
         self._handle.flush()
-        self._count += 1
 
     def __iter__(self):
         if not self.path.exists():
@@ -192,10 +197,11 @@ class FileLogStore:
                 yield record
 
     def __len__(self) -> int:
-        return self._count
+        return sum(1 for _ in self)
 
     def close(self) -> None:
-        self._handle.close()
+        if self._handle is not None:
+            self._handle.close()
 
 
 class BlockLog:
@@ -236,27 +242,27 @@ class BlockLog:
 
 
 def verify_chain(store) -> int | None:
-    """Return the first bad height, or None when the whole chain is intact."""
-    prev_hash = None
-    for index, record in enumerate(store):
-        try:
+    """Return the first bad height, or None when the whole chain is intact.
+
+    A record that cannot be read or parsed, such as a torn tail, is bad.
+    """
+    prev_hash = ZERO_HASH
+    index = 0
+    try:
+        for record in store:
             block = parse_block(record)
-        except wire.WireError:
-            return index
-        if block.height != index:
-            return index
-        if _payload_hash(tx.to_bytes() for tx in block.transactions) != block.payload_hash:
-            return index
-        if _block_hash(
-            block.height, block.prev_hash, block.payload_hash, block.validity
-        ) != block.block_hash:
-            return index
-        if index == 0:
-            if block.prev_hash != ZERO_HASH:
+            if block.height != index or block.prev_hash != prev_hash:
                 return index
-        elif block.prev_hash != prev_hash:
-            return index
-        prev_hash = block.block_hash
+            if _payload_hash(tx.to_bytes() for tx in block.transactions) != block.payload_hash:
+                return index
+            if _block_hash(
+                block.height, block.prev_hash, block.payload_hash, block.validity
+            ) != block.block_hash:
+                return index
+            prev_hash = block.block_hash
+            index += 1
+    except wire.WireError:
+        return index
     return None
 
 

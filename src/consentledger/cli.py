@@ -4,7 +4,7 @@
                   [--endorsers N] [--policy m/k] [--seed N] [--txs N]
                   [--out results.csv] [--config pipeline.cfg]
                   [--log-file chain.log] [--no-replay]
-    consentledger audit <subject> --log chain.log [--registry actors.txt]
+    consentledger audit <subject> --log chain.log
     consentledger verify --log chain.log
     consentledger replay --log chain.log [--registry actors.txt] [--policy m/k]
 
@@ -13,7 +13,8 @@ table3, conflict) and prints one line per cell; --out appends the pinned
 CSV rows. audit subjects are written kind:id, e.g. individual:i4,
 consumer:c0, watchdog:w0. verify exits 1 when the chain fails its hash
 walk, replay exits 1 when re-execution disagrees with the stored flags
-or answers.
+or answers. audit, verify and replay only read the log: a missing or
+empty log file exits 2 and is not created.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from consentledger.blocklog import FileLogStore, verify_chain
 from consentledger.keys import WorldStateDesign
 from consentledger.membership import MembershipRegistry
 from consentledger.pipeline import ConfigError, PipelineConfig, parse_policy
+from consentledger.worldstate import digest_entries
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="list committed events for one actor")
     p_audit.add_argument("subject", help="kind:id, e.g. individual:i4")
     p_audit.add_argument("--log", required=True)
-    p_audit.add_argument("--registry", default=None)
 
     p_verify = sub.add_parser("verify", help="walk the hash chain")
     p_verify.add_argument("--log", required=True)
@@ -157,6 +158,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _read_log(path) -> FileLogStore | None:
+    """A store over an existing, non-empty log, or None after an error."""
+    path = Path(path)
+    if not path.is_file() or path.stat().st_size == 0:
+        print(f"error: {path} is missing or empty", file=sys.stderr)
+        return None
+    return FileLogStore(path)
+
+
 def cmd_audit(args) -> int:
     if ":" not in args.subject:
         print("error: subject must look like individual:i4", file=sys.stderr)
@@ -170,14 +180,14 @@ def cmd_audit(args) -> int:
     if kind not in handlers:
         print(f"error: unknown subject kind {kind!r}", file=sys.stderr)
         return 2
-    store = FileLogStore(args.log)
+    store = _read_log(args.log)
+    if store is None:
+        return 2
     try:
         events = handlers[kind](store, actor)
     except TamperedLogError as exc:
         print(f"refusing audit: {exc}", file=sys.stderr)
         return 1
-    finally:
-        store.close()
     for event in events:
         print(event.to_line())
     print(f"# {len(events)} events for {args.subject}")
@@ -185,21 +195,21 @@ def cmd_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    store = FileLogStore(args.log)
-    try:
-        bad = verify_chain(store)
-        size = len(store)
-    finally:
-        store.close()
+    store = _read_log(args.log)
+    if store is None:
+        return 2
+    bad = verify_chain(store)
     if bad is None:
-        print(f"ok: {size} blocks, chain intact")
+        print(f"ok: {len(store)} blocks, chain intact")
         return 0
     print(f"chain verification failed at height {bad}")
     return 1
 
 
 def cmd_replay(args) -> int:
-    store = FileLogStore(args.log)
+    store = _read_log(args.log)
+    if store is None:
+        return 2
     registry = MembershipRegistry.load_file(args.registry) if args.registry else None
     policy_m, _ = parse_policy(args.policy)
     try:
@@ -207,8 +217,6 @@ def cmd_replay(args) -> int:
     except TamperedLogError as exc:
         print(f"refusing replay: {exc}", file=sys.stderr)
         return 1
-    finally:
-        store.close()
     print(
         f"blocks={report.blocks} committed={report.committed} "
         f"keys={len(report.entries)} interpreted={str(report.interpreted).lower()}"
@@ -219,7 +227,10 @@ def cmd_replay(args) -> int:
         print(f"access answer mismatches: {report.access_mismatches[:10]}")
     if report.authorization_failures:
         print(f"authorization failures: {report.authorization_failures[:10]}")
-    return 0 if report.clean() else 1
+    if not report.clean():
+        return 1
+    print(f"state digest {digest_entries(report.entries)}")
+    return 0
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,7 @@
 Stages, each its own thread(s), connected by bounded queues:
 
   clients -> [submission queues, one per endorser, round-robin routing]
-          -> endorser workers (authorize, simulate m-of-k, stub)
+          -> endorser workers (authorize, simulate, m-of-k stub)
           -> [ordered queue] -> orderer (per-client resequencing, cuts
              blocks at block_size or after block_timeout_ms)
           -> [block queue] -> committer (serial MVCC validation, hash
@@ -14,9 +14,16 @@ Stages, each its own thread(s), connected by bounded queues:
 Round-robin routing gives each endorser an equal share of the load; the
 orderer restores each client's submission order before cutting blocks, so
 per-client FIFO survives parallel endorsement. Transactions rejected at
-endorsement emit a gap notice so the resequencer never waits on a
-sequence number that will not arrive. Retried transactions re-enter as a
-synthetic "retry" client with their own sequence numbers.
+endorsement still send their (client, seq) slot with no transaction so
+the resequencer never waits on a sequence number that will not arrive.
+Retried transactions re-enter as a synthetic "retry" client with their
+own sequence numbers.
+
+Both engines share one core: `endorse_pending` turns a payload into an
+endorsed transaction or a rejection receipt, and `settle` turns a
+committer verdict into a final receipt or a retry. The threaded runner
+only moves items between queues; `SyncLedger` runs the same steps in
+rounds.
 
 Overload: a monitor samples the submission queues while clients are still
 submitting; if every queue stays full for overload_window_s consecutive
@@ -34,10 +41,7 @@ Config file format (one `key = value` per line, '#' comments):
     threads    = 100
 
 plus optional tuning keys: submission_depth, ordered_depth,
-block_queue_depth, overload_window_s, stall_timeout_s, pre_endorsed.
-With pre_endorsed = true the whole workload is endorsed before the clock
-starts and the timed section covers ordering and commit only; overload is
-then watched on the ordered queue.
+block_queue_depth, overload_window_s, stall_timeout_s.
 """
 
 from __future__ import annotations
@@ -98,7 +102,6 @@ class PipelineConfig:
     block_queue_depth: int = 8
     overload_window_s: float = 5.0
     stall_timeout_s: float = 120.0
-    pre_endorsed: bool = False
 
     def validate(self) -> "PipelineConfig":
         if self.block_size < 1:
@@ -172,11 +175,6 @@ class PipelineConfig:
                 m, k = parse_policy(value)
                 updates["policy_m"] = m
                 updates.setdefault("endorsers", k)
-            elif key == "pre_endorsed":
-                lowered = value.lower()
-                if lowered not in ("true", "false", "1", "0"):
-                    raise ConfigError(f"{where}: pre_endorsed must be true or false")
-                updates["pre_endorsed"] = lowered in ("true", "1")
             else:
                 raise ConfigError(f"{where}: unknown key {key!r}")
         if "policy" in values and "endorsers" in values:
@@ -232,6 +230,18 @@ class _Pending:
     retry_count: int = 0
 
 
+def _receipt(item, status: Status, **fields) -> Receipt:
+    """The final receipt for a pending payload or an endorsed transaction."""
+    return Receipt(
+        tx_id=item.tx_id,
+        client_id=item.client_id,
+        seq=item.seq,
+        status=status,
+        retry_count=item.retry_count,
+        **fields,
+    )
+
+
 @dataclass
 class RunStats:
     committed: int = 0
@@ -248,14 +258,14 @@ class RunStats:
     touch_max: int = 0
     receipts: list = field(default_factory=list)
 
+    def add(self, receipt: Receipt) -> None:
+        """Record a final receipt in the counter named by its status."""
+        self.receipts.append(receipt)
+        name = receipt.status.value
+        setattr(self, name, getattr(self, name) + 1)
+
     def finalized(self) -> int:
-        return self.committed + self.aborted + self.rejected + self.cancelled
-
-    def touches_mean(self) -> float:
-        return self.touch_total / self.committed if self.committed else 0.0
-
-    def tps(self) -> float:
-        return self.committed / self.elapsed_s if self.elapsed_s > 0 else 0.0
+        return len(self.receipts)
 
 
 class EndorsementRejected(Exception):
@@ -283,27 +293,19 @@ def co_endorse(
     registry: MembershipRegistry,
     design: WorldStateDesign,
     roster,
-    attempts: int = 5,
 ) -> EndorsedTransaction:
-    """Authorize, then have every listed endorser simulate the payload.
+    """Authorize, simulate, and sign the result as every listed endorser.
 
-    All simulations must agree on the read-write set and result; racing
-    commits can briefly make them differ, so disagreement re-simulates.
-    Raises EndorsementRejected for authorization failures.
+    Every endorser would read the same in-process state, so one
+    simulation stands for all of them. Raises EndorsementRejected for
+    authorization failures.
     """
     payload = pending.payload
     try:
         registry.authorize(payload)
     except AuthorizationError as exc:
         raise EndorsementRejected(f"authorization: {exc.reason}")
-    rwset, result = None, None
-    for _ in range(max(1, attempts)):
-        outcomes = [
-            simulate_payload(state, payload, design, roster) for _ in endorser_ids
-        ]
-        rwset, result = outcomes[0]
-        if all(o == outcomes[0] for o in outcomes[1:]):
-            break
+    rwset, result = simulate_payload(state, payload, design, roster)
     stub = endorsement_stub(payload, rwset, endorser_ids)
     return EndorsedTransaction(
         tx_id=pending.tx_id,
@@ -318,21 +320,12 @@ def co_endorse(
     )
 
 
-def make_state_init_tx(spec: PreloadSpec) -> EndorsedTransaction:
-    """State-init commits by regenerating the preload; no endorsement needed."""
-    return EndorsedTransaction(
-        tx_id="init-000000",
-        payload=state_init("w0", spec),
-        rwset=ReadWriteSet(),
-    )
-
-
 def _endorser_ring(endorser_ids, start: int, m: int):
     return tuple(endorser_ids[(start + offset) % len(endorser_ids)] for offset in range(m))
 
 
-class LedgerHarness:
-    """Owns the state, the log, and threaded pipeline runs."""
+class _Engine:
+    """Set-up and the endorse and settle steps both engines share."""
 
     def __init__(
         self,
@@ -350,6 +343,49 @@ class LedgerHarness:
         self.roster = registry.roster()
         self.endorser_ids = tuple(f"e{i}" for i in range(self.config.endorsers))
 
+    def _commit_alone(self, tx: EndorsedTransaction, what: str) -> None:
+        _, reasons = commit_block(self.state, self.log, (tx,), self.config.policy_m)
+        if reasons[0] != VALID:
+            raise ConfigError(f"{what} rejected: {reasons[0]}")
+
+    def preload(self, spec: PreloadSpec) -> None:
+        """Commit the state-init block that installs spec's entries.
+
+        State-init commits by regenerating the preload, so it needs no
+        endorsement.
+        """
+        init = EndorsedTransaction("init-000000", state_init("w0", spec), ReadWriteSet())
+        self._commit_alone(init, "preload")
+
+    def endorse_pending(self, pending: _Pending, start: int):
+        """Endorse on the ring of m endorsers from start.
+
+        Returns the EndorsedTransaction, or a REJECTED receipt when the
+        payload fails authorization or cannot execute.
+        """
+        ring = _endorser_ring(self.endorser_ids, start, self.config.policy_m)
+        try:
+            return co_endorse(
+                pending, ring, self.state, self.registry, self.design, self.roster
+            )
+        except EndorsementRejected as exc:
+            reason = exc.reason
+        except (ContractError, KeyCodecError) as exc:
+            reason = f"contract: {exc}"
+        return _receipt(pending, Status.REJECTED, reason=reason)
+
+    def settle(self, tx: EndorsedTransaction, reason: str, height: int):
+        """A committer verdict as a final receipt, or None to retry."""
+        if reason == VALID:
+            return _receipt(tx, Status.COMMITTED, block_height=height)
+        if reason == REASON_ENDORSEMENT or tx.retry_count >= self.config.max_retries:
+            return _receipt(tx, Status.ABORTED, reason=reason)
+        return None
+
+
+class LedgerHarness(_Engine):
+    """Owns the state, the log, and threaded pipeline runs."""
+
     def bootstrap(self, preload: PreloadSpec | None = None, setup_payloads=()) -> int:
         """Commit preload and setup blocks before any timed run.
 
@@ -360,25 +396,13 @@ class LedgerHarness:
         """
         appended = 0
         if preload is not None:
-            _, reasons = commit_block(
-                self.state, self.log, (make_state_init_tx(preload),), self.config.policy_m
-            )
-            if reasons[0] != VALID:
-                raise ConfigError(f"preload rejected: {reasons[0]}")
+            self.preload(preload)
             appended += 1
         for i, payload in enumerate(setup_payloads):
-            pending = _Pending("setup", i, f"setup-{i:06d}", payload)
-            tx = co_endorse(
-                pending,
-                _endorser_ring(self.endorser_ids, i, self.config.policy_m),
-                self.state,
-                self.registry,
-                self.design,
-                self.roster,
-            )
-            _, reasons = commit_block(self.state, self.log, (tx,), self.config.policy_m)
-            if reasons[0] != VALID:
-                raise ConfigError(f"setup payload {i} failed: {reasons[0]}")
+            tx = self.endorse_pending(_Pending("setup", i, f"setup-{i:06d}", payload), i)
+            if isinstance(tx, Receipt):
+                raise ConfigError(f"setup payload {i} rejected: {tx.reason}")
+            self._commit_alone(tx, f"setup payload {i}")
             appended += 1
         return appended
 
@@ -422,20 +446,8 @@ class LedgerHarness:
         route_lock = threading.Lock()
         route_counter = [0]
 
-        def cancelled_receipt(client_id, seq, tx_id, retry_count=0) -> None:
-            receipt_q.put(
-                (
-                    "final",
-                    Receipt(
-                        tx_id=tx_id,
-                        client_id=client_id,
-                        seq=seq,
-                        status=Status.CANCELLED,
-                        retry_count=retry_count,
-                        reason="overload",
-                    ),
-                )
-            )
+        def cancelled(item) -> None:
+            receipt_q.put(_receipt(item, Status.CANCELLED, reason="overload"))
 
         def route(pending: _Pending) -> bool:
             """Round-robin submit; returns False when cancelled instead."""
@@ -456,7 +468,7 @@ class LedgerHarness:
             for seq, payload in enumerate(payloads):
                 pending = _Pending(client_id, seq, f"{client_id}-{seq:06d}", payload)
                 if not route(pending):
-                    cancelled_receipt(client_id, seq, pending.tx_id)
+                    cancelled(pending)
 
         def ordered_put(item) -> None:
             while True:
@@ -469,39 +481,10 @@ class LedgerHarness:
 
         endorse_counts = [Counter() for _ in self.endorser_ids]
 
-        def endorse_and_forward(pending: _Pending, ring, counts: Counter) -> None:
-            for endorser_id in ring:
-                counts[endorser_id] += 1
-            try:
-                tx = co_endorse(
-                    pending, ring, self.state, self.registry, self.design, self.roster
-                )
-            except (EndorsementRejected, ContractError, KeyCodecError) as exc:
-                reason = (
-                    exc.reason
-                    if isinstance(exc, EndorsementRejected)
-                    else f"contract: {exc}"
-                )
-                receipt_q.put(
-                    (
-                        "final",
-                        Receipt(
-                            tx_id=pending.tx_id,
-                            client_id=pending.client_id,
-                            seq=pending.seq,
-                            status=Status.REJECTED,
-                            retry_count=pending.retry_count,
-                            reason=reason,
-                        ),
-                    )
-                )
-                ordered_put(("gap", pending.client_id, pending.seq))
-                return
-            ordered_put(("tx", tx))
-
         def endorser_main(index: int) -> None:
             my_q = submission_qs[index]
             counts = endorse_counts[index]
+            ring = _endorser_ring(self.endorser_ids, index, cfg.policy_m)
             while True:
                 try:
                     pending = my_q.get(timeout=0.05)
@@ -510,12 +493,14 @@ class LedgerHarness:
                         return
                     continue
                 if cancel.is_set():
-                    cancelled_receipt(
-                        pending.client_id, pending.seq, pending.tx_id, pending.retry_count
-                    )
+                    cancelled(pending)
                     continue
-                ring = _endorser_ring(self.endorser_ids, index, cfg.policy_m)
-                endorse_and_forward(pending, ring, counts)
+                counts.update(ring)
+                tx = self.endorse_pending(pending, index)
+                if isinstance(tx, Receipt):
+                    receipt_q.put(tx)
+                    tx = None
+                ordered_put((pending.client_id, pending.seq, tx))
 
         def orderer_main() -> None:
             expected: dict = {}
@@ -563,12 +548,12 @@ class LedgerHarness:
                 if cancel.is_set() and not flushed_on_cancel:
                     flushed_on_cancel = True
                     for tx in list(batch) + [t for t in held.values() if t is not None]:
-                        cancelled_receipt(tx.client_id, tx.seq, tx.tx_id, tx.retry_count)
+                        cancelled(tx)
                     batch.clear()
                     held.clear()
                     deadline[0] = None
                 try:
-                    item = ordered_q.get(timeout=0.01)
+                    client_id, seq, tx = ordered_q.get(timeout=0.01)
                 except queue.Empty:
                     if stop.is_set():
                         return
@@ -577,16 +562,10 @@ class LedgerHarness:
                         rearm()
                     continue
                 if cancel.is_set():
-                    if item[0] == "tx":
-                        tx = item[1]
-                        cancelled_receipt(tx.client_id, tx.seq, tx.tx_id, tx.retry_count)
+                    if tx is not None:
+                        cancelled(tx)
                     continue
-                if item[0] == "tx":
-                    tx = item[1]
-                    advance(tx.client_id, tx.seq, tx)
-                else:
-                    _, client_id, seq = item
-                    advance(client_id, seq, None)
+                advance(client_id, seq, tx)
                 while len(batch) >= cfg.block_size:
                     cut()
                 rearm()
@@ -612,109 +591,48 @@ class LedgerHarness:
                             committer_stats["touch_min"] = touches
                         if touches > committer_stats["touch_max"]:
                             committer_stats["touch_max"] = touches
-                        receipt_q.put(("commit", tx, self.log.height))
-                    else:
-                        receipt_q.put(("abort", tx, reason))
+                    receipt_q.put((tx, reason, self.log.height))
 
         retry_seq = [0]
 
         def collector_main() -> None:
-            finalized = 0
-            while finalized < total:
+            while stats.finalized() < total:
                 try:
                     item = receipt_q.get(timeout=0.05)
                 except queue.Empty:
                     if stop.is_set():
                         return
                     continue
-                kind = item[0]
-                if kind == "final":
-                    receipt = item[1]
-                    stats.receipts.append(receipt)
-                    if receipt.status is Status.REJECTED:
-                        stats.rejected += 1
-                    elif receipt.status is Status.CANCELLED:
-                        stats.cancelled += 1
-                    else:
-                        stats.aborted += 1
-                    finalized += 1
-                elif kind == "commit":
-                    tx, height = item[1], item[2]
-                    stats.receipts.append(
-                        Receipt(
+                if isinstance(item, Receipt):
+                    stats.add(item)
+                    continue
+                tx = item[0]
+                receipt = self.settle(*item)
+                if receipt is None:
+                    if not cancel.is_set():
+                        retry_seq[0] += 1
+                        pending = _Pending(
+                            client_id="retry",
+                            seq=retry_seq[0] - 1,
                             tx_id=tx.tx_id,
-                            client_id=tx.client_id,
-                            seq=tx.seq,
-                            status=Status.COMMITTED,
-                            block_height=height,
-                            retry_count=tx.retry_count,
+                            payload=tx.payload,
+                            retry_count=tx.retry_count + 1,
                         )
-                    )
-                    stats.committed += 1
-                    finalized += 1
-                else:
-                    tx, reason = item[1], item[2]
-                    final_abort = (
-                        reason == REASON_ENDORSEMENT
-                        or tx.retry_count >= cfg.max_retries
-                    )
-                    if final_abort or cancel.is_set():
-                        if final_abort:
-                            stats.receipts.append(
-                                Receipt(
-                                    tx_id=tx.tx_id,
-                                    client_id=tx.client_id,
-                                    seq=tx.seq,
-                                    status=Status.ABORTED,
-                                    retry_count=tx.retry_count,
-                                    reason=reason,
-                                )
-                            )
-                            stats.aborted += 1
-                        else:
-                            stats.receipts.append(
-                                Receipt(
-                                    tx_id=tx.tx_id,
-                                    client_id=tx.client_id,
-                                    seq=tx.seq,
-                                    status=Status.CANCELLED,
-                                    retry_count=tx.retry_count,
-                                    reason="overload",
-                                )
-                            )
-                            stats.cancelled += 1
-                        finalized += 1
-                        continue
-                    retry_seq[0] += 1
-                    pending = _Pending(
-                        client_id="retry",
-                        seq=retry_seq[0] - 1,
-                        tx_id=tx.tx_id,
-                        payload=tx.payload,
-                        retry_count=tx.retry_count + 1,
-                    )
-                    if not route(pending):
-                        stats.receipts.append(
-                            Receipt(
-                                tx_id=tx.tx_id,
-                                client_id=tx.client_id,
-                                seq=tx.seq,
-                                status=Status.CANCELLED,
-                                retry_count=tx.retry_count,
-                                reason="overload",
-                            )
-                        )
-                        stats.cancelled += 1
-                        finalized += 1
+                        if route(pending):
+                            continue
+                    receipt = _receipt(tx, Status.CANCELLED, reason="overload")
+                stats.add(receipt)
             completion.set()
 
-        def monitor_main(watched) -> None:
+        def monitor_main() -> None:
             # A queue counts as saturated at 95% capacity: producers wake
             # with some latency after each pop, so a strict full() check
             # would flicker and reset the window.
             saturated_since = None
             while not (clients_done.is_set() or cancel.is_set() or stop.is_set()):
-                if all(q.qsize() >= max(1, int(q.maxsize * 0.95)) for q in watched):
+                if all(
+                    q.qsize() >= max(1, int(q.maxsize * 0.95)) for q in submission_qs
+                ):
                     now = time.monotonic()
                     if saturated_since is None:
                         saturated_since = now
@@ -726,84 +644,22 @@ class LedgerHarness:
                     saturated_since = None
                 time.sleep(0.05)
 
-        threads: list = []
-        client_workers: list = []
-
-        if cfg.pre_endorsed:
-            endorsed: list = []
-            for client_index, payloads in enumerate(batches):
-                client_id = f"client{client_index}"
-                for seq, payload in enumerate(payloads):
-                    pending = _Pending(client_id, seq, f"{client_id}-{seq:06d}", payload)
-                    ring = _endorser_ring(
-                        self.endorser_ids, client_index + seq, cfg.policy_m
-                    )
-                    for endorser_id in ring:
-                        endorse_counts[0][endorser_id] += 1
-                    try:
-                        endorsed.append(
-                            co_endorse(
-                                pending,
-                                ring,
-                                self.state,
-                                self.registry,
-                                self.design,
-                                self.roster,
-                            )
-                        )
-                    except (EndorsementRejected, ContractError, KeyCodecError) as exc:
-                        reason = (
-                            exc.reason
-                            if isinstance(exc, EndorsementRejected)
-                            else f"contract: {exc}"
-                        )
-                        receipt_q.put(
-                            (
-                                "final",
-                                Receipt(
-                                    tx_id=pending.tx_id,
-                                    client_id=client_id,
-                                    seq=pending.seq,
-                                    status=Status.REJECTED,
-                                    reason=reason,
-                                ),
-                            )
-                        )
-
-            def feeder_main() -> None:
-                for tx in endorsed:
-                    if cancel.is_set():
-                        cancelled_receipt(tx.client_id, tx.seq, tx.tx_id, tx.retry_count)
-                        continue
-                    ordered_put(("tx", tx))
-                clients_done.set()
-
-            threads.append(threading.Thread(target=guarded(feeder_main), daemon=True))
-            threads.append(
-                threading.Thread(
-                    target=guarded(monitor_main), args=([ordered_q],), daemon=True
-                )
+        client_workers = [
+            threading.Thread(
+                target=guarded(client_main), args=(client_index, payloads), daemon=True
             )
-        else:
-            for client_index, payloads in enumerate(batches):
-                t = threading.Thread(
-                    target=guarded(client_main), args=(client_index, payloads), daemon=True
-                )
-                client_workers.append(t)
-                threads.append(t)
+            for client_index, payloads in enumerate(batches)
+        ]
 
-            def watch_clients() -> None:
-                for t in client_workers:
-                    t.join()
-                clients_done.set()
+        def watch_clients() -> None:
+            for t in client_workers:
+                t.join()
+            clients_done.set()
 
-            threads.append(threading.Thread(target=watch_clients, daemon=True))
-            threads.append(
-                threading.Thread(
-                    target=guarded(monitor_main), args=(submission_qs,), daemon=True
-                )
-            )
-
+        threads = client_workers + [
+            threading.Thread(target=watch_clients, daemon=True),
+            threading.Thread(target=guarded(monitor_main), daemon=True),
+        ]
         for index in range(len(self.endorser_ids)):
             threads.append(
                 threading.Thread(target=guarded(endorser_main), args=(index,), daemon=True)
@@ -846,7 +702,7 @@ class LedgerHarness:
         return stats
 
 
-class SyncLedger:
+class SyncLedger(_Engine):
     """Single-threaded engine with identical commit semantics.
 
     Each round endorses every pending payload against the current state,
@@ -857,38 +713,19 @@ class SyncLedger:
     and scripted audit scenarios.
     """
 
-    def __init__(
-        self,
-        design: WorldStateDesign,
-        registry: MembershipRegistry,
-        config: PipelineConfig | None = None,
-        state: VersionedWorldState | None = None,
-        log: BlockLog | None = None,
-    ):
-        self.design = design
-        self.registry = registry
-        self.config = (config or PipelineConfig()).validate()
-        self.state = state if state is not None else VersionedWorldState()
-        self.log = log if log is not None else BlockLog()
-        self.roster = registry.roster()
-        self.endorser_ids = tuple(f"e{i}" for i in range(self.config.endorsers))
-        self._submitted = 0
+    _submitted = 0  # payloads numbered so far; set per instance on first use
 
-    def preload(self, spec: PreloadSpec) -> None:
-        _, reasons = commit_block(
-            self.state, self.log, (make_state_init_tx(spec),), self.config.policy_m
-        )
-        if reasons[0] != VALID:
-            raise ConfigError(f"preload rejected: {reasons[0]}")
+    def _next_pending(self, payload: TransactionPayload) -> _Pending:
+        seq = self._submitted
+        self._submitted += 1
+        return _Pending("sync", seq, f"sync-{seq:06d}", payload)
 
     def endorse(self, payload: TransactionPayload) -> EndorsedTransaction:
         """Endorse without committing; for inspecting read-write sets."""
-        seq = self._submitted
-        self._submitted += 1
-        pending = _Pending("sync", seq, f"sync-{seq:06d}", payload)
+        pending = self._next_pending(payload)
         return co_endorse(
             pending,
-            _endorser_ring(self.endorser_ids, seq, self.config.policy_m),
+            _endorser_ring(self.endorser_ids, pending.seq, self.config.policy_m),
             self.state,
             self.registry,
             self.design,
@@ -897,76 +734,32 @@ class SyncLedger:
 
     def submit_batch(self, payloads) -> list:
         """Run payloads to final receipts; returns receipts in payload order."""
-        pending = []
-        receipts: dict = {}
-        for payload in payloads:
-            seq = self._submitted
-            self._submitted += 1
-            pending.append(_Pending("sync", seq, f"sync-{seq:06d}", payload))
+        pending = [self._next_pending(payload) for payload in payloads]
         order = [p.tx_id for p in pending]
-
+        receipts: dict = {}
         while pending:
             endorsed = []
             for item in pending:
-                try:
-                    tx = co_endorse(
-                        item,
-                        _endorser_ring(self.endorser_ids, item.seq, self.config.policy_m),
-                        self.state,
-                        self.registry,
-                        self.design,
-                        self.roster,
-                    )
-                except EndorsementRejected as exc:
-                    receipts[item.tx_id] = Receipt(
-                        tx_id=item.tx_id,
-                        client_id=item.client_id,
-                        seq=item.seq,
-                        status=Status.REJECTED,
-                        retry_count=item.retry_count,
-                        reason=exc.reason,
-                    )
-                    continue
-                except (ContractError, KeyCodecError) as exc:
-                    receipts[item.tx_id] = Receipt(
-                        tx_id=item.tx_id,
-                        client_id=item.client_id,
-                        seq=item.seq,
-                        status=Status.REJECTED,
-                        retry_count=item.retry_count,
-                        reason=f"contract: {exc}",
-                    )
-                    continue
-                endorsed.append((item, tx))
+                # the ring follows the submission seq, which retries keep
+                tx = self.endorse_pending(item, item.seq)
+                if isinstance(tx, Receipt):
+                    receipts[item.tx_id] = tx
+                else:
+                    endorsed.append(tx)
             pending = []
             for start in range(0, len(endorsed), self.config.block_size):
                 chunk = endorsed[start : start + self.config.block_size]
-                txs = tuple(tx for _, tx in chunk)
-                _, reasons = commit_block(self.state, self.log, txs, self.config.policy_m)
-                for (item, tx), reason in zip(chunk, reasons):
-                    if reason == VALID:
-                        receipts[item.tx_id] = Receipt(
-                            tx_id=item.tx_id,
-                            client_id=item.client_id,
-                            seq=item.seq,
-                            status=Status.COMMITTED,
-                            block_height=self.log.height,
-                            retry_count=item.retry_count,
+                _, reasons = commit_block(self.state, self.log, chunk, self.config.policy_m)
+                for tx, reason in zip(chunk, reasons):
+                    receipt = self.settle(tx, reason, self.log.height)
+                    if receipt is not None:
+                        receipts[tx.tx_id] = receipt
+                        continue
+                    pending.append(
+                        _Pending(
+                            tx.client_id, tx.seq, tx.tx_id, tx.payload, tx.retry_count + 1
                         )
-                    elif (
-                        reason == REASON_ENDORSEMENT
-                        or item.retry_count >= self.config.max_retries
-                    ):
-                        receipts[item.tx_id] = Receipt(
-                            tx_id=item.tx_id,
-                            client_id=item.client_id,
-                            seq=item.seq,
-                            status=Status.ABORTED,
-                            retry_count=item.retry_count,
-                            reason=reason,
-                        )
-                    else:
-                        pending.append(replace(item, retry_count=item.retry_count + 1))
+                    )
         return [receipts[tx_id] for tx_id in order]
 
     def submit_one(self, payload) -> Receipt:

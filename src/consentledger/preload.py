@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from consentledger import wire
-from consentledger.keys import SEPARATOR, WorldStateDesign
+from consentledger.keys import SEPARATOR, KeyCodecError, WorldStateDesign
 
 
 class PreloadError(ValueError):
@@ -158,8 +158,14 @@ class PreloadSpec:
 
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "PreloadSpec":
+        text = reader.take_str()
+        design = WorldStateDesign.parse(text)
+        if design.value != text:
+            # parse() also accepts "IWS", which reserializes as "iws": the
+            # hash check over reserialized bytes would miss the changed byte
+            raise KeyCodecError(f"non-canonical design {text!r}")
         return cls(
-            design=WorldStateDesign.parse(reader.take_str()),
+            design=design,
             n_individuals=reader.take_u64(),
             n_resources=reader.take_u64(),
             n_roles=reader.take_u64(),

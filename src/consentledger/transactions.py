@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from consentledger import wire
-from consentledger.keys import ConsentFact
-from consentledger.preload import PreloadSpec
+from consentledger.keys import ConsentFact, KeyCodecError
+from consentledger.preload import PreloadError, PreloadSpec
 from consentledger.worldstate import ReadWriteSet, value_from_reader, value_to_bytes
 
 
@@ -43,7 +43,6 @@ class PayloadKind(enum.Enum):
 
 CONSENT_KINDS = (PayloadKind.GRANT_CONSENT, PayloadKind.REVOKE_CONSENT)
 ROLE_KINDS = (PayloadKind.ASSIGN_ROLE, PayloadKind.REVOKE_ROLE)
-RAW_KINDS = (PayloadKind.RAW_READ, PayloadKind.RAW_WRITE)
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,10 @@ class TransactionPayload:
                 sub.expect_end()
             return cls(kind=kind, actor=actor, write_items=tuple(items))
         sub = wire.Reader(reader.take_chunk())
-        spec = PreloadSpec.from_reader(sub)
+        try:
+            spec = PreloadSpec.from_reader(sub)
+        except (KeyCodecError, PreloadError) as exc:
+            raise wire.WireError(f"bad state-init spec: {exc}") from exc
         sub.expect_end()
         return cls(kind=kind, actor=actor, init_spec=spec)
 
@@ -310,9 +312,6 @@ class EndorsedTransaction:
             endorsement_stub=stub,
             result=result,
         )
-
-    def with_routing(self, client_id: str, seq: int, retry_count: int = 0):
-        return replace(self, client_id=client_id, seq=seq, retry_count=retry_count)
 
 
 def endorsement_stub(

@@ -165,20 +165,25 @@ class VersionedWorldState:
 
     def digest(self) -> str:
         """Order-independent SHA-256 over (key, value, version) triples."""
-        h = hashlib.sha256()
-        # preloads share one value object across many keys: serialize each
-        # distinct object once instead of once per key
-        by_object: dict = {}
-        for key in sorted(self._entries):
-            value, version = self._entries[key]
-            encoded = by_object.get(id(value))
-            if encoded is None:
-                encoded = value_to_bytes(value)
-                by_object[id(value)] = encoded
-            h.update(wire.pack_str(key))
-            h.update(wire.pack_chunk(encoded))
-            h.update(wire.pack_u64(version))
-        return h.hexdigest()
+        return digest_entries(self._entries)
+
+
+def digest_entries(entries: dict) -> str:
+    """Order-independent SHA-256 over a key -> (value, version) map."""
+    h = hashlib.sha256()
+    # preloads share one value object across many keys: serialize each
+    # distinct object once instead of once per key
+    by_object: dict = {}
+    for key in sorted(entries):
+        value, version = entries[key]
+        encoded = by_object.get(id(value))
+        if encoded is None:
+            encoded = value_to_bytes(value)
+            by_object[id(value)] = encoded
+        h.update(wire.pack_str(key))
+        h.update(wire.pack_chunk(encoded))
+        h.update(wire.pack_u64(version))
+    return h.hexdigest()
 
 
 class SimulationContext:

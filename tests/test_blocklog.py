@@ -23,11 +23,13 @@ from consentledger.blocklog import (
     serialize_block,
     verify_chain,
 )
-from consentledger.keys import ConsentFact
+from consentledger.keys import ConsentFact, WorldStateDesign
+from consentledger.preload import PreloadSpec
 from consentledger.transactions import (
     EndorsedTransaction,
     endorsement_stub,
     grant_consent,
+    state_init,
 )
 from consentledger.worldstate import ReadWriteSet, VersionedWorldState
 
@@ -104,11 +106,7 @@ def test_commit_block_appends_and_flags():
     assert verify_chain(log.store) is None
 
 
-def test_state_init_rejected_on_populated_state():
-    from consentledger.keys import WorldStateDesign
-    from consentledger.preload import PreloadSpec
-    from consentledger.transactions import state_init
-
+def _init_tx() -> EndorsedTransaction:
     spec = PreloadSpec(
         design=WorldStateDesign.IWS,
         n_individuals=2,
@@ -119,13 +117,17 @@ def test_state_init_rejected_on_populated_state():
         key_space=2,
         value_space=1,
     )
-    init = EndorsedTransaction(
+    return EndorsedTransaction(
         tx_id="tx-init",
         payload=state_init("w0", spec),
         rwset=ReadWriteSet(),
         endorser_ids=(),
         endorsement_stub="",
     )
+
+
+def test_state_init_rejected_on_populated_state():
+    init = _init_tx()
     fresh = VersionedWorldState()
     assert execute_transactions(fresh, [init], policy_m=1) == [VALID]
     assert fresh.key_count() == 2
@@ -171,6 +173,25 @@ def test_single_byte_mutations_detected(tmp_path):
             mutated.append(bytes(record) if index == target else original)
         bad = verify_chain(mutated)
         assert bad is not None and bad >= target
+
+
+def test_state_init_single_byte_mutations_give_height_1():
+    store = MemoryLogStore()
+    log = BlockLog(store)
+    state = VersionedWorldState()
+    commit_block(state, log, [_init_tx()], policy_m=1)
+    commit_block(state, log, [_tx("tx-1", 0, {"i1"})], policy_m=1)
+    genesis, init, tail = list(store)
+    assert verify_chain(store) is None
+    for offset in range(len(init)):
+        for value in range(256):
+            if value == init[offset]:
+                continue
+            mutated = MemoryLogStore()
+            mutated.append(genesis)
+            mutated.append(init[:offset] + bytes((value,)) + init[offset + 1 :])
+            mutated.append(tail)
+            assert verify_chain(mutated) == 1, (offset, value)
 
 
 def test_validity_flag_flip_breaks_descendants():

@@ -13,7 +13,7 @@ from consentledger.transactions import access_request, assign_role, grant_consen
 
 
 def _write_scripted_log(tmp_path):
-    """A small committed history plus the registry file that produced it."""
+    """A small committed history, its registry file and its state digest."""
     registry = population_registry(3)
     log_path = tmp_path / "chain.log"
     store = FileLogStore(log_path)
@@ -33,7 +33,7 @@ def _write_scripted_log(tmp_path):
     store.close()
     registry_path = tmp_path / "actors.txt"
     registry.save_file(registry_path)
-    return log_path, registry_path
+    return log_path, registry_path, ledger.state.digest()
 
 
 def test_bench_conflict_sweep_with_csv_and_logs(tmp_path, capsys):
@@ -85,10 +85,8 @@ def test_bench_rejects_unknown_kind():
 
 
 def test_audit_subcommand(tmp_path, capsys):
-    log_path, registry_path = _write_scripted_log(tmp_path)
-    code = main(
-        ["audit", "individual:i0", "--log", str(log_path), "--registry", str(registry_path)]
-    )
+    log_path, _, _ = _write_scripted_log(tmp_path)
+    code = main(["audit", "individual:i0", "--log", str(log_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "grant_consent" in out
@@ -101,14 +99,14 @@ def test_audit_subcommand(tmp_path, capsys):
 
 
 def test_audit_rejects_bad_subject(tmp_path, capsys):
-    log_path, _ = _write_scripted_log(tmp_path)
+    log_path, _, _ = _write_scripted_log(tmp_path)
     assert main(["audit", "i0", "--log", str(log_path)]) == 2
     assert main(["audit", "martian:x1", "--log", str(log_path)]) == 2
     capsys.readouterr()
 
 
 def test_verify_and_replay_detect_tampering(tmp_path, capsys):
-    log_path, registry_path = _write_scripted_log(tmp_path)
+    log_path, registry_path, _ = _write_scripted_log(tmp_path)
     assert main(["verify", "--log", str(log_path)]) == 0
     assert (
         main(["replay", "--log", str(log_path), "--registry", str(registry_path)]) == 0
@@ -128,7 +126,7 @@ def test_verify_and_replay_detect_tampering(tmp_path, capsys):
 
 
 def test_replay_reports_summary(tmp_path, capsys):
-    log_path, registry_path = _write_scripted_log(tmp_path)
+    log_path, registry_path, digest = _write_scripted_log(tmp_path)
     code = main(
         ["replay", "--log", str(log_path), "--registry", str(registry_path)]
     )
@@ -136,3 +134,48 @@ def test_replay_reports_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "committed=3" in out
     assert "interpreted=true" in out
+    assert f"state digest {digest}" in out
+
+
+def test_read_only_commands_refuse_missing_or_empty_log(tmp_path, capsys):
+    missing = tmp_path / "missing.log"
+    empty = tmp_path / "empty.log"
+    empty.write_bytes(b"")
+    for path in (missing, empty):
+        for argv in (
+            ["verify", "--log", str(path)],
+            ["replay", "--log", str(path)],
+            ["audit", "individual:i0", "--log", str(path)],
+        ):
+            assert main(argv) == 2
+            assert "missing or empty" in capsys.readouterr().err
+    assert not missing.exists()
+    assert empty.read_bytes() == b""
+
+
+def test_verify_truncation_at_every_offset(tmp_path, capsys):
+    log_path, _, _ = _write_scripted_log(tmp_path)
+    raw = log_path.read_bytes()
+    # record i spans [boundaries[i], boundaries[i + 1])
+    boundaries = [0]
+    while boundaries[-1] < len(raw):
+        start = boundaries[-1]
+        boundaries.append(start + 4 + int.from_bytes(raw[start : start + 4], "big"))
+    assert boundaries[-1] == len(raw) and len(boundaries) == 5
+    cases = [raw[:offset] for offset in range(1, len(raw) + 1)]
+    cases.append(raw + b"\x00\x01")  # two stray bytes after a valid chain
+    cut = tmp_path / "cut.log"
+    for data in cases:
+        cut.write_bytes(data)
+        code = main(["verify", "--log", str(cut)])
+        out = capsys.readouterr().out
+        if len(data) in boundaries:
+            assert code == 0, len(data)
+            assert f"ok: {boundaries.index(len(data))} blocks, chain intact" in out
+        else:
+            torn = sum(1 for b in boundaries if b <= len(data)) - 1
+            assert code == 1, len(data)
+            assert f"chain verification failed at height {torn}" in out
+    assert main(["audit", "individual:i0", "--log", str(cut)]) == 1
+    assert main(["replay", "--log", str(cut)]) == 1
+    assert "refusing" in capsys.readouterr().err

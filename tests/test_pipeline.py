@@ -1,9 +1,14 @@
 """Config parsing plus sync and threaded pipeline behavior."""
 
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 
+from consentledger import wire
 from consentledger.blocklog import verify_chain
-from consentledger.keys import ConsentFact, WorldStateDesign
+from consentledger.keys import ConsentFact, WorldStateDesign, encode_consent_key
 from consentledger.membership import population_registry
 from consentledger.pipeline import (
     ConfigError,
@@ -14,7 +19,14 @@ from consentledger.pipeline import (
     parse_policy,
 )
 from consentledger.preload import PreloadSpec
-from consentledger.transactions import assign_role, grant_consent
+from consentledger.transactions import (
+    access_request,
+    assign_role,
+    grant_consent,
+    raw_write,
+    revoke_consent,
+    revoke_role,
+)
 
 DESIGN = WorldStateDesign.IWS
 
@@ -57,8 +69,7 @@ def test_config_from_file(tmp_path):
         "retries = 4\n"
         "timeout_ms = 10   # trailing comment\n"
         "threads = 8\n"
-        "submission_depth = 600\n"
-        "pre_endorsed = true\n",
+        "submission_depth = 600\n",
         encoding="utf-8",
     )
     cfg = PipelineConfig.from_file(path)
@@ -68,7 +79,6 @@ def test_config_from_file(tmp_path):
     assert cfg.block_timeout_ms == 10
     assert cfg.client_threads == 8
     assert cfg.submission_depth == 600
-    assert cfg.pre_endorsed is True
     assert cfg.policy_text() == "2/3"
 
 
@@ -180,6 +190,9 @@ def test_harness_bootstrap_counts_blocks():
     assert appended == 2
     assert harness.log.height == 2
     assert harness.state.get("d0|c0|w0") == ("assign", 1)
+    # a setup payload that fails authorization is a set-up error
+    with pytest.raises(ConfigError, match="rejected: authorization"):
+        harness.bootstrap(None, [assign_role("w1", "d0", "c0", "w0")])
 
 
 def _batches(payloads, n_clients):
@@ -206,7 +219,7 @@ def test_threaded_run_exact_accounting():
     assert stats.blocks >= 5
     assert verify_chain(harness.log.store) is None
     # distinct facts, one key each: every commit touches exactly one key
-    assert stats.touches_mean() == 1.0
+    assert stats.touch_total == 40
     assert stats.touch_min == stats.touch_max == 1
 
 
@@ -267,14 +280,81 @@ def test_threaded_rejection_leaves_no_gap():
     assert stats.finalized() == 11
 
 
-def test_pre_endorsed_mode_commits_everything():
-    registry = population_registry(8)
-    cfg = PipelineConfig(
-        block_size=8, client_threads=2, block_timeout_ms=20, pre_endorsed=True
+def _golden_op(rng, design):
+    """One random consent, role or access operation, some of them invalid."""
+    ind, other = f"i{rng.randrange(6)}", f"i{rng.randrange(6)}"
+    res, role = f"r{rng.randrange(2)}", f"d{rng.randrange(2)}"
+    wd, dc = f"w{rng.randrange(2)}", f"c{rng.randrange(2)}"
+    roll = rng.random()
+    if roll < 0.45:
+        fact = ConsentFact(ind, res, role, wd, "t0")
+        op = grant_consent if rng.random() < 0.7 else revoke_consent
+        # some submitters act for someone else and are rejected
+        return op(other if rng.random() < 0.1 else ind, fact)
+    if roll < 0.6:
+        op = assign_role if rng.random() < 0.7 else revoke_role
+        return op(wd if rng.random() < 0.9 else "w9", role, dc, wd)
+    if roll < 0.9:
+        return access_request(dc, dc, role, wd, res, "t0")
+    if roll < 0.95:
+        # an invalid key token: rejected as a contract error
+        return grant_consent(ind, ConsentFact(ind, "r|x", role, wd, "t0"))
+    # a marker stored in a consent key makes later consent ops on it fail
+    key, _ = encode_consent_key(design, ConsentFact(ind, res, role, wd, "t0"))
+    return raw_write(ind, [(key, "assign")])
+
+
+def _golden_digest(design, policy):
+    m, k = parse_policy(policy)
+    registry = population_registry(6, n_watchdogs=2, n_consumers=2)
+    cfg = PipelineConfig(block_size=4, endorsers=k, policy_m=m, max_retries=1)
+    ledger = SyncLedger(design, registry, cfg)
+    ledger.preload(
+        PreloadSpec(
+            design=design,
+            n_individuals=6,
+            n_resources=3,
+            n_roles=2,
+            n_watchdogs=2,
+            n_timeframes=1,
+            key_space=4,
+            value_space=2,
+        )
     )
-    harness = LedgerHarness(DESIGN, registry, cfg)
-    payloads = [grant_consent(f.ind_id, f) for f in _facts(24, 8)]
-    stats = harness.run(_batches(payloads, 2))
-    assert stats.committed == 24
-    assert stats.finalized() == 24
-    assert verify_chain(harness.log.store) is None
+    rng = random.Random(1910)
+    h = hashlib.sha256()
+    receipts = []
+    for _ in range(12):
+        batch = [_golden_op(rng, design) for _ in range(rng.randrange(8, 24))]
+        receipts += ledger.submit_batch(batch)
+        h.update(ledger.state.digest().encode())
+    for record in ledger.log.store:
+        h.update(wire.pack_chunk(record))
+    for r in receipts:
+        fields = (r.tx_id, r.client_id, r.seq, r.status.value, r.block_height,
+                  r.retry_count, r.reason)
+        h.update(wire.pack_str("|".join(map(str, fields))))
+    return h.hexdigest(), receipts
+
+
+# SHA-256 over state digests, chain records and receipts of one fixed-seed
+# history per design and policy; a change here changes chain bytes or verdicts
+GOLDEN = {
+    ("iws", "1/2"): "4ef8186954d835ef501fbfe2cbfbe9cf772572c13940a96310f02bbe2c33f7e9",
+    ("iws", "2/3"): "833a3e75814531fcbb183ce145022268928774e62e2391a940221dd59c9d5b40",
+    ("rws", "1/2"): "db56ef208ad37877bfd4f0db96357f9365ff2c90db00dbbc10b0d1f9dac9551e",
+    ("rws", "2/3"): "396d060313d701ae268017582acb78d6e7306005f35248947961f654d4f08d35",
+    ("rows", "1/2"): "4d8ced0f96c1cd5eb83cba218297d6afa3e9bebc54e8dea63c3bb0051346d8ab",
+    ("rows", "2/3"): "605f48c32bfe324816c0b3f548225e41d0568d882e5f90e7d8f6cc7c31bfa759",
+}
+
+
+@pytest.mark.parametrize("design", list(WorldStateDesign))
+@pytest.mark.parametrize("policy", ["1/2", "2/3"])
+def test_golden_sync_history(design, policy):
+    digest, receipts = _golden_digest(design, policy)
+    statuses = Counter(r.status for r in receipts)
+    assert statuses[Status.COMMITTED] and statuses[Status.REJECTED]
+    assert any(r.reason.startswith("contract:") for r in receipts)
+    assert any(r.reason == "conflict" and r.retry_count == 1 for r in receipts)
+    assert digest == GOLDEN[(design.value, policy)]

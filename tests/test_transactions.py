@@ -1,6 +1,7 @@
 """Wire format roundtrips and endorsement stubs."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -127,7 +128,7 @@ def test_endorsed_tx_roundtrip_with_result():
 
 def test_routing_metadata_stays_off_the_wire():
     rng = random.Random(12)
-    tx = _sample_tx(rng).with_routing("client3", 17, retry_count=2)
+    tx = replace(_sample_tx(rng), client_id="client3", seq=17, retry_count=2)
     reader = wire.Reader(tx.to_bytes())
     back = EndorsedTransaction.from_reader(reader)
     assert back.client_id == "" and back.seq == 0 and back.retry_count == 0
