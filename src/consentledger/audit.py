@@ -1,8 +1,12 @@
 """Audit queries and the independent replay oracle.
 
-Everything here works from the block log alone. Audit queries first
-verify the hash chain and refuse tampered logs, then walk committed
-transactions and emit line-delimited records:
+Everything here works from the block log alone, in one streaming pass:
+`verified_blocks` parses each record once and checks it against the hash
+chain before anything here sees it. A tampered log raises
+TamperedLogError; audits and replay collect their results and return
+them only after the whole chain has checked out, so they refuse a
+tampered log without returning any event. Audit queries walk the
+committed transactions and emit line-delimited records:
 
     <height> <tx_id> <kind> key=value ...
 
@@ -20,7 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from consentledger.blocklog import parse_block, verify_chain
+# parse_block and verify_chain are not called here, but benchmark tracing
+# wraps both names on this module
+from consentledger.blocklog import (  # noqa: F401
+    TamperedLogError,
+    parse_block,
+    verified_blocks,
+    verify_chain,
+)
 from consentledger.keys import ROLE_ASSIGNED, ROLE_REVOKED, ConsentFact
 from consentledger.membership import AuthorizationError, MembershipRegistry
 from consentledger.preload import PreloadError
@@ -31,24 +42,12 @@ from consentledger.transactions import (
 )
 
 
-class TamperedLogError(Exception):
-    """Raised when an audit is attempted over a log that fails verification."""
-
-    def __init__(self, height: int):
-        super().__init__(f"chain verification failed at height {height}")
-        self.height = height
-
-
-def verify_or_raise(store) -> None:
-    bad = verify_chain(store)
-    if bad is not None:
-        raise TamperedLogError(bad)
-
-
 def iter_committed(store):
-    """Yield (height, tx) for every committed (valid) transaction."""
-    for record in store:
-        block = parse_block(record)
+    """Yield (height, tx) for every committed (valid) transaction.
+
+    Raises TamperedLogError at the first block that fails verification.
+    """
+    for block in verified_blocks(store):
         for tx, valid in zip(block.transactions, block.validity):
             if valid:
                 yield block.height, tx
@@ -83,7 +82,6 @@ def _access_detail(tx: EndorsedTransaction) -> str:
 
 def audit_individual(store, ind_id: str) -> list:
     """Committed consent changes for ind_id plus access grants naming them."""
-    verify_or_raise(store)
     events = []
     for height, tx in iter_committed(store):
         kind = tx.payload.kind
@@ -102,7 +100,6 @@ def audit_individual(store, ind_id: str) -> list:
 
 def audit_consumer(store, dc_id: str) -> list:
     """Committed access requests submitted by dc_id, with their outcomes."""
-    verify_or_raise(store)
     events = []
     for height, tx in iter_committed(store):
         if tx.payload.kind is PayloadKind.ACCESS_REQUEST and tx.payload.dc_id == dc_id:
@@ -114,7 +111,6 @@ def audit_consumer(store, dc_id: str) -> list:
 
 def audit_watchdog(store, wd_id: str) -> list:
     """Committed role administration performed under wd_id's regime."""
-    verify_or_raise(store)
     events = []
     for height, tx in iter_committed(store):
         kind = tx.payload.kind
@@ -200,22 +196,20 @@ def replay_oracle(
 ) -> ReplayReport:
     """Re-execute the whole chain with independent commit semantics.
 
-    Verifies the hash chain first (raises TamperedLogError otherwise),
-    then folds every block into a fresh (key -> value, version) map:
-    recomputed endorsement and MVCC outcomes are compared against the
-    stored validity flags. Logs made purely of consent-domain operations
+    Folds every verified block into a fresh (key -> value, version) map
+    in one pass (a tampered log raises TamperedLogError): recomputed
+    endorsement and MVCC outcomes are compared against the stored
+    validity flags. Logs made purely of consent-domain operations
     additionally get the fact-set interpretation and a brute-force check
     of every committed access answer. When a registry is supplied, each
     committed transaction is re-checked against the authorization matrix.
     """
-    verify_or_raise(store)
     report = ReplayReport()
     versions: dict = {}
     entries: dict = {}
     pure_cms = True
 
-    for record in store:
-        block = parse_block(record)
+    for block in verified_blocks(store):
         report.blocks += 1
         for index, (tx, stored_valid) in enumerate(
             zip(block.transactions, block.validity)

@@ -18,6 +18,17 @@ block still breaks its own stored hash.
 A file-backed log is a sequence of [u32 record length][record]. Heights
 are dense from 0 (the genesis block, which carries no transactions).
 
+Each record is encoded once and parsed once. `make_block` encodes every
+transaction once, straight into the record while hashing the chunks into
+payload_hash, and keeps that record on the block until `BlockLog`
+appends it; `serialize_block` returns it. `parse_block` hashes the tx
+chunks exactly as it read them, so `verified_blocks` (and `verify_chain`
+through it) checks payload_hash against the bytes in the record and
+never re-encodes. Decoding is canonical, so those bytes are also what
+re-encoding the parsed transactions would give. Both memos stay off the
+wire and out of equality, and a `dataclasses.replace` copy of a block
+carries neither.
+
 Commit semantics: transactions in a block are validated serially against
 the live state. A transaction is valid when its endorsement checks out
 and every key it read is still at the version it observed (version 0 for
@@ -30,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from consentledger import wire
@@ -54,6 +65,15 @@ class ChainError(Exception):
     """Raised when appends or reads violate chain structure."""
 
 
+class TamperedLogError(ChainError):
+    """Raised when a log fails verification; names the first bad height."""
+
+    def __init__(self, height: int, reason: str = ""):
+        message = f"chain verification failed at height {height}"
+        super().__init__(f"{message}: {reason}" if reason else message)
+        self.height = height
+
+
 @dataclass(frozen=True)
 class Block:
     height: int
@@ -62,13 +82,16 @@ class Block:
     transactions: tuple
     validity: tuple
     block_hash: bytes
+    # the record make_block sealed, which serialize_block returns
+    record: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # parse_block's hash over the tx chunks as read, checked against payload_hash
+    read_payload_hash: bytes | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
-def _payload_hash(tx_chunks) -> bytes:
-    h = hashlib.sha256(b"txs-v1")
-    for chunk in tx_chunks:
-        h.update(wire.pack_chunk(chunk))
-    return h.digest()
+def _payload_hasher():
+    return hashlib.sha256(b"txs-v1")
 
 
 def _block_hash(height: int, prev_hash: bytes, payload_hash: bytes, validity) -> bytes:
@@ -80,20 +103,57 @@ def _block_hash(height: int, prev_hash: bytes, payload_hash: bytes, validity) ->
     return h.digest()
 
 
+def _encode_record(
+    height: int, prev_hash: bytes, transactions, validity, payload_hash=None, block_hash=None
+):
+    """Encode one block record, each transaction exactly once.
+
+    Without hashes, payload_hash is computed from the transaction chunks
+    as they are written and block_hash from it (sealing a new block);
+    given hashes are written as they are. Transactions are encoded one
+    at a time into a single buffer, so no list of chunks is ever held.
+    Returns (record, payload_hash, block_hash).
+    """
+    out = bytearray()
+    out += wire.pack_u64(height)
+    out += wire.pack_chunk(prev_hash)
+    out += wire.pack_chunk(payload_hash if payload_hash is not None else ZERO_HASH)
+    hash_at = len(out) - 32
+    out += wire.pack_u32(len(transactions))
+    h = _payload_hasher()
+    for tx in transactions:
+        chunk = tx.to_bytes()
+        wire.hash_chunk(h, chunk)
+        out += wire.pack_u32(len(chunk))
+        out += chunk
+    if payload_hash is None:
+        payload_hash = h.digest()
+        out[hash_at : hash_at + 32] = payload_hash
+        block_hash = _block_hash(height, prev_hash, payload_hash, validity)
+    out += wire.pack_u32(len(validity))
+    out += bytes(1 if v else 0 for v in validity)
+    out += wire.pack_chunk(block_hash)
+    return bytes(out), payload_hash, block_hash
+
+
 def make_block(height: int, prev_hash: bytes, transactions, validity) -> Block:
     transactions = tuple(transactions)
     validity = tuple(bool(v) for v in validity)
     if len(transactions) != len(validity):
         raise ChainError("one validity flag per transaction required")
-    payload_hash = _payload_hash(tx.to_bytes() for tx in transactions)
-    return Block(
+    record, payload_hash, block_hash = _encode_record(
+        height, prev_hash, transactions, validity
+    )
+    block = Block(
         height=height,
         prev_hash=prev_hash,
         payload_hash=payload_hash,
         transactions=transactions,
         validity=validity,
-        block_hash=_block_hash(height, prev_hash, payload_hash, validity),
+        block_hash=block_hash,
     )
+    object.__setattr__(block, "record", record)
+    return block
 
 
 def genesis_block() -> Block:
@@ -101,17 +161,16 @@ def genesis_block() -> Block:
 
 
 def serialize_block(block: Block) -> bytes:
-    out = [
-        wire.pack_u64(block.height),
-        wire.pack_chunk(block.prev_hash),
-        wire.pack_chunk(block.payload_hash),
-        wire.pack_u32(len(block.transactions)),
-    ]
-    out += [wire.pack_chunk(tx.to_bytes()) for tx in block.transactions]
-    out.append(wire.pack_u32(len(block.validity)))
-    out += [wire.pack_u8(1 if v else 0) for v in block.validity]
-    out.append(wire.pack_chunk(block.block_hash))
-    return b"".join(out)
+    if block.record is not None:
+        return block.record
+    return _encode_record(
+        block.height,
+        block.prev_hash,
+        block.transactions,
+        block.validity,
+        block.payload_hash,
+        block.block_hash,
+    )[0]
 
 
 def parse_block(record: bytes) -> Block:
@@ -123,8 +182,11 @@ def parse_block(record: bytes) -> Block:
         raise wire.WireError("hash fields must be 32 bytes")
     n_txs = reader.take_u32()
     transactions = []
+    read_hash = _payload_hasher()
     for _ in range(n_txs):
-        sub = wire.Reader(reader.take_chunk())
+        chunk = reader.take_chunk()
+        wire.hash_chunk(read_hash, chunk)
+        sub = wire.Reader(chunk)
         transactions.append(EndorsedTransaction.from_reader(sub))
         sub.expect_end()
     n_flags = reader.take_u32()
@@ -135,7 +197,7 @@ def parse_block(record: bytes) -> Block:
     reader.expect_end()
     if n_flags != n_txs:
         raise wire.WireError(f"{n_txs} transactions but {n_flags} validity flags")
-    return Block(
+    block = Block(
         height=height,
         prev_hash=prev_hash,
         payload_hash=payload_hash,
@@ -143,6 +205,8 @@ def parse_block(record: bytes) -> Block:
         validity=validity,
         block_hash=block_hash,
     )
+    object.__setattr__(block, "read_payload_hash", read_hash.digest())
+    return block
 
 
 class MemoryLogStore:
@@ -208,15 +272,17 @@ class BlockLog:
     """Store wrapper that enforces height and prev-hash continuity.
 
     A fresh log gets the genesis block appended immediately; reopening an
-    existing store picks up its tip instead.
+    existing store verifies it and picks up its tip instead. A store that
+    fails verification, such as a file with a torn tail, is refused with
+    a TamperedLogError (a ChainError) naming the first bad height; it is
+    never truncated.
     """
 
     def __init__(self, store=None):
         self.store = store if store is not None else MemoryLogStore()
         self.height = -1
         self.tip_hash = ZERO_HASH
-        for record in self.store:
-            block = parse_block(record)
+        for block in verified_blocks(self.store):
             self.height = block.height
             self.tip_hash = block.block_hash
         if self.height == -1:
@@ -233,6 +299,9 @@ class BlockLog:
         if block.prev_hash != self.tip_hash:
             raise ChainError(f"block {block.height} does not extend the tip")
         self.store.append(serialize_block(block))
+        # the record served this one write; a block its caller keeps
+        # should not pin a copy of it
+        object.__setattr__(block, "record", None)
         self.height = block.height
         self.tip_hash = block.block_hash
 
@@ -241,28 +310,44 @@ class BlockLog:
             yield parse_block(record)
 
 
-def verify_chain(store) -> int | None:
-    """Return the first bad height, or None when the whole chain is intact.
+def verified_blocks(store):
+    """Parse each record once and yield its block once it checks out.
 
-    A record that cannot be read or parsed, such as a torn tail, is bad.
+    A block checks out when its height and prev_hash continue the chain,
+    the tx chunks it was read from hash to its payload_hash, and its
+    block_hash matches. The first record that cannot be read or parsed
+    (such as a torn tail) or fails a check raises TamperedLogError naming
+    its height, after every block before it has been yielded.
     """
     prev_hash = ZERO_HASH
-    index = 0
+    height = 0
     try:
         for record in store:
             block = parse_block(record)
-            if block.height != index or block.prev_hash != prev_hash:
-                return index
-            if _payload_hash(tx.to_bytes() for tx in block.transactions) != block.payload_hash:
-                return index
+            if block.height != height:
+                raise TamperedLogError(height, f"record claims height {block.height}")
+            if block.prev_hash != prev_hash:
+                raise TamperedLogError(height, "prev_hash does not match the chain")
+            if block.read_payload_hash != block.payload_hash:
+                raise TamperedLogError(height, "transactions do not match payload_hash")
             if _block_hash(
                 block.height, block.prev_hash, block.payload_hash, block.validity
             ) != block.block_hash:
-                return index
+                raise TamperedLogError(height, "block_hash does not match the block")
+            yield block
             prev_hash = block.block_hash
-            index += 1
-    except wire.WireError:
-        return index
+            height += 1
+    except wire.WireError as exc:
+        raise TamperedLogError(height, f"unreadable record ({exc})") from exc
+
+
+def verify_chain(store) -> int | None:
+    """Return the first bad height, or None when the whole chain is intact."""
+    try:
+        for _ in verified_blocks(store):
+            pass
+    except TamperedLogError as exc:
+        return exc.height
     return None
 
 

@@ -14,7 +14,8 @@ CSV rows. audit subjects are written kind:id, e.g. individual:i4,
 consumer:c0, watchdog:w0. verify exits 1 when the chain fails its hash
 walk, replay exits 1 when re-execution disagrees with the stored flags
 or answers. audit, verify and replay only read the log: a missing or
-empty log file exits 2 and is not created.
+empty log file exits 2 and is not created. A missing or malformed
+--registry or --config file and a bad --policy also exit 2.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from consentledger.audit import (
     audit_watchdog,
     replay_oracle,
 )
-from consentledger.blocklog import FileLogStore, verify_chain
-from consentledger.keys import WorldStateDesign
-from consentledger.membership import MembershipRegistry
+from consentledger.blocklog import FileLogStore, verified_blocks
+from consentledger.keys import KeyCodecError, WorldStateDesign
+from consentledger.membership import MembershipError, MembershipRegistry
 from consentledger.pipeline import ConfigError, PipelineConfig, parse_policy
 from consentledger.worldstate import digest_entries
 
@@ -118,7 +119,7 @@ def cmd_bench(args) -> int:
         specs = bench_mod.gen_sweep(
             args.kind, design=design, total_txs=args.txs, seed=args.seed
         )
-    except (ConfigError, bench_mod.WorkloadError) as exc:
+    except (ConfigError, bench_mod.WorkloadError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     results = []
@@ -198,20 +199,28 @@ def cmd_verify(args) -> int:
     store = _read_log(args.log)
     if store is None:
         return 2
-    bad = verify_chain(store)
-    if bad is None:
-        print(f"ok: {len(store)} blocks, chain intact")
-        return 0
-    print(f"chain verification failed at height {bad}")
-    return 1
+    blocks = transactions = 0
+    try:
+        for block in verified_blocks(store):
+            blocks += 1
+            transactions += len(block.transactions)
+    except TamperedLogError as exc:
+        print(exc)
+        return 1
+    print(f"ok: {blocks} blocks, {transactions} transactions, chain intact")
+    return 0
 
 
 def cmd_replay(args) -> int:
     store = _read_log(args.log)
     if store is None:
         return 2
-    registry = MembershipRegistry.load_file(args.registry) if args.registry else None
-    policy_m, _ = parse_policy(args.policy)
+    try:
+        registry = MembershipRegistry.load_file(args.registry) if args.registry else None
+        policy_m, _ = parse_policy(args.policy)
+    except (ConfigError, KeyCodecError, MembershipError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         report = replay_oracle(store, registry=registry, policy_m=policy_m)
     except TamperedLogError as exc:

@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass
 
 TOKEN_PATTERN = re.compile(r"[A-Za-z0-9_-]+\Z")
+# a whole key: one or more tokens joined by the separator
+KEY_PATTERN = re.compile(r"[A-Za-z0-9_-]+(?:\|[A-Za-z0-9_-]+)*\Z")
 SEPARATOR = "|"
 
 ROLE_ASSIGNED = "assign"
@@ -141,8 +143,12 @@ def split_key(key: str) -> tuple[str, ...]:
     if not key:
         raise KeyCodecError("empty key")
     segments = tuple(key.split(SEPARATOR))
-    for seg in segments:
-        validate_token(seg, "key segment")
+    if KEY_PATTERN.match(key) is None:
+        # one match checks the whole key; the segment loop only names the
+        # offending segment in the error
+        for seg in segments:
+            validate_token(seg, "key segment")
+        raise KeyCodecError(f"invalid key {key!r}")
     return segments
 
 

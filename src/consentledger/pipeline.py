@@ -16,8 +16,9 @@ orderer restores each client's submission order before cutting blocks, so
 per-client FIFO survives parallel endorsement. Transactions rejected at
 endorsement still send their (client, seq) slot with no transaction so
 the resequencer never waits on a sequence number that will not arrive.
-Retried transactions re-enter as a synthetic "retry" client with their
-own sequence numbers.
+Retried transactions keep their submitter's (client, seq), which their
+receipts report, but the orderer resequences them in a synthetic "retry"
+lane with its own sequence numbers.
 
 Both engines share one core: `endorse_pending` turns a payload into an
 endorsed transaction or a rejection receipt, and `settle` turns a
@@ -221,13 +222,21 @@ class Receipt:
 
 @dataclass(frozen=True)
 class _Pending:
-    """A payload travelling toward an endorser."""
+    """A payload travelling toward an endorser.
+
+    client_id and seq name the submission; lane is the orderer's
+    (client, seq) resequencing slot when it differs, as for retries.
+    """
 
     client_id: str
     seq: int
     tx_id: str
     payload: TransactionPayload
     retry_count: int = 0
+    lane: tuple | None = None
+
+    def order_slot(self) -> tuple:
+        return self.lane or (self.client_id, self.seq)
 
 
 def _receipt(item, status: Status, **fields) -> Receipt:
@@ -306,18 +315,22 @@ def co_endorse(
     except AuthorizationError as exc:
         raise EndorsementRejected(f"authorization: {exc.reason}")
     rwset, result = simulate_payload(state, payload, design, roster)
+    endorser_ids = tuple(endorser_ids)
     stub = endorsement_stub(payload, rwset, endorser_ids)
-    return EndorsedTransaction(
+    tx = EndorsedTransaction(
         tx_id=pending.tx_id,
         payload=payload,
         rwset=rwset,
-        endorser_ids=tuple(endorser_ids),
+        endorser_ids=endorser_ids,
         endorsement_stub=stub,
         result=result,
         client_id=pending.client_id,
         seq=pending.seq,
         retry_count=pending.retry_count,
     )
+    # the committer's endorsement check reuses this stub instead of
+    # re-encoding the read-write set
+    return tx.memoize_stub(stub)
 
 
 def _endorser_ring(endorser_ids, start: int, m: int):
@@ -500,7 +513,7 @@ class LedgerHarness(_Engine):
                 if isinstance(tx, Receipt):
                     receipt_q.put(tx)
                     tx = None
-                ordered_put((pending.client_id, pending.seq, tx))
+                ordered_put((*pending.order_slot(), tx))
 
         def orderer_main() -> None:
             expected: dict = {}
@@ -612,11 +625,12 @@ class LedgerHarness(_Engine):
                     if not cancel.is_set():
                         retry_seq[0] += 1
                         pending = _Pending(
-                            client_id="retry",
-                            seq=retry_seq[0] - 1,
+                            client_id=tx.client_id,
+                            seq=tx.seq,
                             tx_id=tx.tx_id,
                             payload=tx.payload,
                             retry_count=tx.retry_count + 1,
+                            lane=("retry", retry_seq[0] - 1),
                         )
                         if route(pending):
                             continue

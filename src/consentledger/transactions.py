@@ -12,6 +12,20 @@ tx id, captured read-write set, endorser ids, a deterministic endorsement
 stub (SHA-256 over payload, rwset, and endorser ids; stands in for
 signatures, which are out of scope here), and the access decision when
 the operation produced one.
+
+Stub memo: checking an endorsement means recomputing the stub, which
+hashes the whole encoded read-write set. Each EndorsedTransaction may
+therefore carry a private memo of that recomputation, a 64-character hex
+digest and never encoded bytes. Two places set it, each from exactly the
+bytes the stub covers: the endorser (`memoize_stub`, with the stub it
+has just computed from the transaction's fields) and `from_reader` (from
+the raw payload and rwset chunks it read). `verify_endorsement` trusts
+the memo and recomputes only when there is none. The memo is a pure
+function of the frozen payload, rwset and endorser ids, so it is not an
+init field: a `dataclasses.replace` copy carries none and is checked
+from scratch. Decoding is canonical (every accepted chunk re-encodes to
+the same bytes), so a memo taken from read bytes equals one recomputed
+from the decoded fields.
 """
 
 from __future__ import annotations
@@ -270,6 +284,18 @@ class EndorsedTransaction:
     client_id: str = field(default="", compare=False)
     seq: int = field(default=0, compare=False)
     retry_count: int = field(default=0, compare=False)
+    # endorsement_stub recomputed from payload, rwset and endorser_ids;
+    # see the module docstring for when it is set and trusted
+    _stub_memo: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def memoize_stub(self, stub: str) -> "EndorsedTransaction":
+        """Keep stub as this transaction's recomputed endorsement stub.
+
+        Only for a stub just computed by `endorsement_stub` from this
+        transaction's own payload, rwset and endorser_ids. Returns self.
+        """
+        object.__setattr__(self, "_stub_memo", stub)
+        return self
 
     def to_bytes(self) -> bytes:
         out = [
@@ -290,10 +316,12 @@ class EndorsedTransaction:
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "EndorsedTransaction":
         tx_id = reader.take_str()
-        sub = wire.Reader(reader.take_chunk())
+        payload_bytes = reader.take_chunk()
+        sub = wire.Reader(payload_bytes)
         payload = TransactionPayload.from_reader(sub)
         sub.expect_end()
-        sub = wire.Reader(reader.take_chunk())
+        rwset_bytes = reader.take_chunk()
+        sub = wire.Reader(rwset_bytes)
         rwset = ReadWriteSet.from_reader(sub)
         sub.expect_end()
         n = reader.take_u32()
@@ -304,7 +332,7 @@ class EndorsedTransaction:
             sub = wire.Reader(reader.take_chunk())
             result = AccessGrantRecord.from_reader(sub)
             sub.expect_end()
-        return cls(
+        tx = cls(
             tx_id=tx_id,
             payload=payload,
             rwset=rwset,
@@ -312,21 +340,33 @@ class EndorsedTransaction:
             endorsement_stub=stub,
             result=result,
         )
+        return tx.memoize_stub(_stub_over(payload_bytes, rwset_bytes, endorsers))
 
 
-def endorsement_stub(
-    payload: TransactionPayload, rwset: ReadWriteSet, endorser_ids
-) -> str:
+def _stub_over(payload_bytes: bytes, rwset_bytes: bytes, endorser_ids) -> str:
     h = hashlib.sha256(b"endorse-v1")
-    h.update(wire.pack_chunk(payload.to_bytes()))
-    h.update(wire.pack_chunk(rwset.to_bytes()))
+    wire.hash_chunk(h, payload_bytes)
+    wire.hash_chunk(h, rwset_bytes)
     for endorser in endorser_ids:
         h.update(wire.pack_str(endorser))
     return h.hexdigest()
 
 
+def endorsement_stub(
+    payload: TransactionPayload, rwset: ReadWriteSet, endorser_ids
+) -> str:
+    return _stub_over(payload.to_bytes(), rwset.to_bytes(), endorser_ids)
+
+
 def verify_endorsement(tx: EndorsedTransaction, required: int) -> bool:
-    """Recompute the stub and check the m-of-k endorser count."""
+    """Check the stub and the m-of-k endorser count.
+
+    The stub is compared with the transaction's memo, or recomputed when
+    it has none.
+    """
     if len(set(tx.endorser_ids)) < required:
         return False
-    return tx.endorsement_stub == endorsement_stub(tx.payload, tx.rwset, tx.endorser_ids)
+    expected = tx._stub_memo
+    if expected is None:
+        expected = endorsement_stub(tx.payload, tx.rwset, tx.endorser_ids)
+    return tx.endorsement_stub == expected

@@ -35,6 +35,12 @@ def pack_str(text: str) -> bytes:
     return pack_chunk(text.encode("utf-8"))
 
 
+def hash_chunk(hasher, data: bytes) -> None:
+    """Feed pack_chunk(data) to hasher without copying data."""
+    hasher.update(pack_u32(len(data)))
+    hasher.update(data)
+
+
 class Reader:
     """Cursor over a byte string; every take_* advances and bounds-checks."""
 

@@ -46,7 +46,13 @@ def value_from_reader(reader: wire.Reader) -> Value:
         return reader.take_str()
     if tag == _TAG_MEMBERS:
         count = reader.take_u32()
-        return frozenset(reader.take_str() for _ in range(count))
+        members = [reader.take_str() for _ in range(count)]
+        # value_to_bytes writes members sorted and distinct; any other
+        # order would re-encode differently from the bytes that were read
+        # and hashed
+        if any(a >= b for a, b in zip(members, members[1:])):
+            raise wire.WireError("value members must be sorted and distinct")
+        return frozenset(members)
     raise wire.WireError(f"unknown value tag 0x{tag:02x}")
 
 

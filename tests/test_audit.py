@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from consentledger import blocklog
 from consentledger.audit import (
     ReplayMismatchError,
     TamperedLogError,
@@ -174,3 +175,18 @@ def test_replay_flags_authorization_breach():
     thin_registry = population_registry(3, n_watchdogs=1, n_consumers=0)
     report = replay_oracle(ledger.log.store, registry=thin_registry)
     assert report.authorization_failures
+
+
+def test_replay_parses_each_block_once(monkeypatch):
+    ledger, registry = _scripted_ledger()
+    parsed = []
+    original = blocklog.parse_block
+
+    def counting(record):
+        parsed.append(record)
+        return original(record)
+
+    monkeypatch.setattr(blocklog, "parse_block", counting)
+    report = replay_check(ledger.log.store, ledger.state, registry=registry)
+    assert report.blocks == len(ledger.log.store)
+    assert parsed == list(ledger.log.store)

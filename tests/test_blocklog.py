@@ -1,6 +1,7 @@
 """Block sealing, hash chaining, stores, and tamper detection."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,14 +25,24 @@ from consentledger.blocklog import (
     verify_chain,
 )
 from consentledger.keys import ConsentFact, WorldStateDesign
+from consentledger.membership import population_registry
+from consentledger.pipeline import PipelineConfig, Status, SyncLedger
 from consentledger.preload import PreloadSpec
 from consentledger.transactions import (
     EndorsedTransaction,
+    PayloadKind,
+    access_request,
+    assign_role,
     endorsement_stub,
     grant_consent,
+    raw_read,
+    raw_write,
+    revoke_consent,
+    revoke_role,
     state_init,
+    verify_endorsement,
 )
-from consentledger.worldstate import ReadWriteSet, VersionedWorldState
+from consentledger.worldstate import ReadWriteSet, VersionedWorldState, value_from_reader
 
 FACT = ConsentFact("i1", "r1", "d1", "w1", "t1")
 KEY = "r1|w1|d1|t1"
@@ -213,3 +224,99 @@ def test_truncated_record_rejected():
         parse_block(record[:-1])
     with pytest.raises(wire.WireError):
         parse_block(record + b"\x00")
+
+
+def _mixed_chain() -> list:
+    """Records of a small chain holding every endorsed payload kind."""
+    ledger = SyncLedger(
+        WorldStateDesign.IWS, population_registry(3), PipelineConfig(block_size=2)
+    )
+    fact = ConsentFact("i0", "r0", "d0", "w0", "t0")
+    for step in (
+        grant_consent("i0", fact),
+        assign_role("w0", "d0", "c0", "w0"),
+        access_request("c0", "c0", "d0", "w0", "r0", "t0"),
+        revoke_consent("i0", fact),
+        revoke_role("w0", "d0", "c0", "w0"),
+    ):
+        assert ledger.submit_one(step).status is Status.COMMITTED
+    receipts = ledger.submit_batch(
+        [
+            raw_read("i1", ["r0|w0|d0|t0", "d0|c0|w0"]),
+            raw_write("i2", [("r1|w0|d0|t0", frozenset({"i1", "i2"})), ("d1|c0|w0", "assign")]),
+        ]
+    )
+    assert all(r.status is Status.COMMITTED for r in receipts)
+    return list(ledger.log.store)
+
+
+def test_parse_reencodes_every_payload_kind():
+    kinds = set()
+    for record in _mixed_chain():
+        block = parse_block(record)
+        # a parsed block keeps no chunks, so this re-encodes every transaction
+        assert serialize_block(block) == record
+        for tx in block.transactions:
+            kinds.add(tx.payload.kind)
+            assert tx._stub_memo == endorsement_stub(tx.payload, tx.rwset, tx.endorser_ids)
+    assert kinds == set(PayloadKind) - {PayloadKind.STATE_INIT}
+
+
+def test_every_byte_mutation_of_mixed_chain_detected():
+    clean = _mixed_chain()
+    assert verify_chain(clean) is None
+    for target, record in enumerate(clean):
+        for offset in range(len(record)):
+            for mask in (0x01, 0x80, 0xFF):
+                mutated = bytearray(record)
+                mutated[offset] ^= mask
+                mutated = bytes(mutated)
+                try:
+                    parsed = parse_block(mutated)
+                except wire.WireError:
+                    pass
+                else:
+                    # decoding is canonical: whatever parses re-encodes as read
+                    assert serialize_block(parsed) == mutated, (target, offset, mask)
+                store = clean[:target] + [mutated] + clean[target + 1 :]
+                bad = verify_chain(store)
+                assert bad is not None and bad <= target, (target, offset, mask)
+
+
+def test_unsorted_member_set_rejected():
+    value = bytes([0x02]) + wire.pack_u32(2) + wire.pack_str("b") + wire.pack_str("a")
+    with pytest.raises(wire.WireError):
+        value_from_reader(wire.Reader(value))
+    twice = bytes([0x02]) + wire.pack_u32(2) + wire.pack_str("a") + wire.pack_str("a")
+    with pytest.raises(wire.WireError):
+        value_from_reader(wire.Reader(twice))
+
+
+def test_reopen_refuses_torn_tail(tmp_path):
+    path = tmp_path / "chain.log"
+    store = FileLogStore(path)
+    log = BlockLog(store)
+    state = VersionedWorldState()
+    for i in range(3):
+        commit_block(state, log, [_tx(f"tx-{i}", i, {"i1"})], policy_m=1)
+    store.close()
+    with open(path, "ab") as fh:
+        fh.write(b"\x00\x01")
+    torn = path.read_bytes()
+    with pytest.raises(ChainError, match="height 4"):
+        BlockLog(FileLogStore(path))
+    assert path.read_bytes() == torn
+
+
+def test_parsed_stub_memo_comes_from_the_bytes_read():
+    state = VersionedWorldState()
+    log = BlockLog()
+    good = _tx("tx-1", 0, {"i1"})
+    forged = replace(good, tx_id="tx-2", endorsement_stub="0" * 64)
+    _, reasons = commit_block(state, log, [good, forged], policy_m=1)
+    assert reasons == [VALID, REASON_ENDORSEMENT]
+    parsed = parse_block(list(log.store)[-1]).transactions
+    assert [verify_endorsement(tx, 1) for tx in parsed] == [True, False]
+    # a copy with other fields carries no memo and is checked from scratch
+    assert not verify_endorsement(replace(parsed[0], endorser_ids=("e1",)), 1)
+    assert verify_endorsement(replace(parsed[1], endorsement_stub=good.endorsement_stub), 1)

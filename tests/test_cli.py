@@ -171,7 +171,10 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
         out = capsys.readouterr().out
         if len(data) in boundaries:
             assert code == 0, len(data)
-            assert f"ok: {boundaries.index(len(data))} blocks, chain intact" in out
+            blocks = boundaries.index(len(data))
+            # every block after genesis holds one transaction
+            txs = max(blocks - 1, 0)
+            assert f"ok: {blocks} blocks, {txs} transactions, chain intact" in out
         else:
             torn = sum(1 for b in boundaries if b <= len(data)) - 1
             assert code == 1, len(data)
@@ -179,3 +182,23 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
     assert main(["audit", "individual:i0", "--log", str(cut)]) == 1
     assert main(["replay", "--log", str(cut)]) == 1
     assert "refusing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["replay", "--registry", "{missing}"],
+        ["replay", "--registry", "{malformed}"],
+        ["replay", "--policy", "two/three"],
+        ["bench", "conflict", "--config", "{missing}"],
+    ],
+)
+def test_bad_inputs_exit_2(tmp_path, capsys, args):
+    log_path, _, _ = _write_scripted_log(tmp_path)
+    malformed = tmp_path / "bad-actors.txt"
+    malformed.write_text("individual\n", encoding="utf-8")
+    argv = [a.format(missing=tmp_path / "missing", malformed=malformed) for a in args]
+    if argv[0] == "replay":
+        argv += ["--log", str(log_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

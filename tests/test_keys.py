@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consentledger.keys import (
     ConsentFact,
@@ -111,3 +113,33 @@ def test_design_parse():
     assert WorldStateDesign.parse(" rows ") is WorldStateDesign.ROWS
     with pytest.raises(KeyCodecError):
         WorldStateDesign.parse("xyz")
+
+
+def _split_by_segments(key: str):
+    """split_key's definition, one segment at a time; None when invalid."""
+    if not key:
+        return None
+    segments = tuple(key.split("|"))
+    try:
+        for seg in segments:
+            validate_token(seg, "key segment")
+    except KeyCodecError:
+        return None
+    return segments
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="ab09_-|\n é\u00fc\u0130\u212a\u0663,"))
+@example("")
+@example("|")
+@example("a||b")
+@example("a|b\n")
+@example("\u00e9|b")
+@example("\u212a|b")
+def test_split_key_matches_segment_definition(key):
+    expected = _split_by_segments(key)
+    if expected is None:
+        with pytest.raises(KeyCodecError):
+            split_key(key)
+    else:
+        assert split_key(key) == expected

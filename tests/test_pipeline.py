@@ -265,6 +265,12 @@ def test_threaded_hot_key_retries_to_commit():
     assert harness.state.get("r0|w0|d0|t0") == (frozenset({"i0"}), 12)
     retried = [r for r in stats.receipts if r.retry_count > 0]
     assert retried, "same-key writers must have conflicted at least once"
+    # a retried receipt still names its submitter: receipts and submissions
+    # pair up one to one
+    submitted = {(f"client{c}", seq) for c in range(3) for seq in range(4)}
+    named = [(r.client_id, r.seq) for r in stats.receipts]
+    assert sorted(named) == sorted(submitted)
+    assert all(r.tx_id == f"{r.client_id}-{r.seq:06d}" for r in stats.receipts)
 
 
 def test_threaded_rejection_leaves_no_gap():
