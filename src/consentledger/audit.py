@@ -156,13 +156,12 @@ class ReplayReport:
 
     def matches_state(self, state) -> bool:
         """Exact (value, version) equality against a live world state."""
-        live = state.entries_snapshot()
-        if len(live) != len(self.entries):
+        if state.key_count() != len(self.entries):
             return False
         # both sides share value objects across many keys, so remember each
         # compared object pair instead of re-walking large sets per key
         seen_pairs: set = set()
-        for key, (value, version) in live.items():
+        for key, (value, version) in state.items():
             entry = self.entries.get(key)
             if entry is None or entry[1] != version:
                 return False

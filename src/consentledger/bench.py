@@ -24,7 +24,7 @@ CSV columns, in order:
 
 `aborted` counts every transaction that reached a final non-committed
 state (aborts after retry exhaustion plus cancellations of an overloaded
-run); `overload_flag` is 1 when the submission queues stayed saturated
+run); `overload_flag` is 1 when the submission queue stayed saturated
 past the overload window and the run was cancelled, and such runs report
 tps 0. Population cells whose member pools cannot cover the requested
 value space fail validation instead of silently shrinking.
@@ -36,7 +36,6 @@ import csv
 import gc
 import random
 import tempfile
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +48,6 @@ from consentledger.pipeline import (
     LedgerHarness,
     PipelineConfig,
     SyncLedger,
-    Status,
 )
 from consentledger.preload import PreloadError, PreloadSpec
 from consentledger.transactions import (
@@ -419,84 +417,43 @@ def run_bench(
         payloads = build_payloads(spec)
         setup = [assign_role("w0", "d0", "c0", "w0")] if spec.needs_role_grant() else []
 
-        if spec.kind == "conflict":
-            engine = SyncLedger(spec.design, registry, config=cfg, state=state, log=log)
-            preload = spec.preload_spec()
-            if preload is not None:
-                engine.preload(preload)
-            base_height = log.height
-            with _measurement_window():
-                started = time.monotonic()
-                receipts = engine.submit_batch(payloads)
-                elapsed = max(time.monotonic() - started, 1e-9)
-            committed = sum(1 for r in receipts if r.status is Status.COMMITTED)
-            aborted = sum(1 for r in receipts if r.status is Status.ABORTED)
-            rejected = sum(1 for r in receipts if r.status is Status.REJECTED)
-            cancelled = 0
-            blocks = log.height - base_height
-            overloaded = False
-            touches = _committed_touches(log, base_height)
-            touch_summary = (
-                sum(touches),
-                min(touches) if touches else 0,
-                max(touches) if touches else 0,
-            )
-        else:
-            harness = LedgerHarness(
-                spec.design, registry, config=cfg, state=state, log=log
-            )
-            harness.bootstrap(spec.preload_spec(), setup)
-            # walk the fresh state once so page faults land before timing
-            for _entry in state.items():
-                pass
-            with _measurement_window():
-                stats = harness.run(split_batches(payloads, cfg.client_threads))
-            committed = stats.committed
-            aborted = stats.aborted
-            rejected = stats.rejected
-            cancelled = stats.cancelled
-            blocks = stats.blocks
-            elapsed = max(stats.elapsed_s, 1e-9)
-            overloaded = stats.overloaded
-            touch_summary = (stats.touch_total, stats.touch_min, stats.touch_max)
+        engine_type = SyncLedger if spec.kind == "conflict" else LedgerHarness
+        engine = engine_type(spec.design, registry, config=cfg, state=state, log=log)
+        engine.bootstrap(spec.preload_spec(), setup)
+        # walk the fresh state once so page faults land before timing
+        for _entry in state.items():
+            pass
+        with _measurement_window():
+            stats = engine.run(split_batches(payloads, cfg.client_threads))
 
-        if committed + aborted + rejected + cancelled != len(payloads):
+        if stats.committed + stats.aborted + stats.rejected + stats.cancelled != len(
+            payloads
+        ):
             raise WorkloadError("final receipts do not cover every payload")
 
         if replay:
             replay_check(log.store, state, registry=registry, policy_m=cfg.policy_m)
 
-        hits_mean = touch_summary[0] / committed if committed else 0.0
+        elapsed = max(stats.elapsed_s, 1e-9)
         return BenchResult(
             spec=spec,
-            committed=committed,
-            aborted=aborted,
-            rejected=rejected,
-            cancelled=cancelled,
-            blocks=blocks,
+            committed=stats.committed,
+            aborted=stats.aborted,
+            rejected=stats.rejected,
+            cancelled=stats.cancelled,
+            blocks=stats.blocks,
             elapsed_s=elapsed,
-            tps=committed / elapsed,
-            hits_mean=hits_mean,
-            hits_min=touch_summary[1],
-            hits_max=touch_summary[2],
-            overloaded=overloaded,
+            tps=stats.committed / elapsed,
+            hits_mean=stats.touch_total / stats.committed if stats.committed else 0.0,
+            hits_min=stats.touch_min,
+            hits_max=stats.touch_max,
+            overloaded=stats.overloaded,
             state_digest=state.digest(),
         )
     finally:
         if tmp_handle is not None:
             log_store.close()
             Path(tmp_handle.name).unlink(missing_ok=True)
-
-
-def _committed_touches(log: BlockLog, after_height: int) -> list:
-    touches = []
-    for block in log.blocks():
-        if block.height <= after_height:
-            continue
-        for tx, valid in zip(block.transactions, block.validity):
-            if valid:
-                touches.append(tx.rwset.touch_count())
-    return touches
 
 
 def append_csv(path, results) -> None:

@@ -305,10 +305,6 @@ class BlockLog:
         self.height = block.height
         self.tip_hash = block.block_hash
 
-    def blocks(self):
-        for record in self.store:
-            yield parse_block(record)
-
 
 def verified_blocks(store):
     """Parse each record once and yield its block once it checks out.

@@ -107,35 +107,11 @@ def encode_consent_key(design: WorldStateDesign, fact: ConsentFact) -> tuple[str
     return rows_key(fact.res_id, fact.ind_id, fact.wd_id, fact.time_id), fact.role_id
 
 
-def decode_consent_key(design: WorldStateDesign, key: str, member: str) -> ConsentFact:
-    """Inverse of encode_consent_key; rejects keys with the wrong shape."""
-    segments = split_key(key)
-    if len(segments) != 4:
-        raise KeyCodecError(f"consent key needs 4 segments, got {len(segments)}: {key!r}")
-    validate_token(member, "member")
-    a, b, c, d = segments
-    if design is WorldStateDesign.IWS:
-        fact = ConsentFact(ind_id=member, res_id=a, wd_id=b, role_id=c, time_id=d)
-    elif design is WorldStateDesign.RWS:
-        fact = ConsentFact(ind_id=a, res_id=member, wd_id=b, role_id=c, time_id=d)
-    else:
-        fact = ConsentFact(ind_id=b, res_id=a, role_id=member, wd_id=c, time_id=d)
-    return fact.validate()
-
-
 def encode_role_key(role_id: str, dc_id: str, wd_id: str) -> str:
     validate_token(role_id, "role_id")
     validate_token(dc_id, "dc_id")
     validate_token(wd_id, "wd_id")
     return SEPARATOR.join((role_id, dc_id, wd_id))
-
-
-def decode_role_key(key: str) -> tuple[str, str, str]:
-    segments = split_key(key)
-    if len(segments) != 3:
-        raise KeyCodecError(f"role key needs 3 segments, got {len(segments)}: {key!r}")
-    role_id, dc_id, wd_id = segments
-    return role_id, dc_id, wd_id
 
 
 def split_key(key: str) -> tuple[str, ...]:
@@ -151,16 +127,3 @@ def split_key(key: str) -> tuple[str, ...]:
         raise KeyCodecError(f"invalid key {key!r}")
     return segments
 
-
-def is_consent_key(key: str) -> bool:
-    try:
-        return len(split_key(key)) == 4
-    except KeyCodecError:
-        return False
-
-
-def is_role_key(key: str) -> bool:
-    try:
-        return len(split_key(key)) == 3
-    except KeyCodecError:
-        return False

@@ -1,34 +1,36 @@
 """Execute-order-validate pipeline over the block log.
 
-Stages, each its own thread(s), connected by bounded queues:
+Stages, each its own thread, connected by bounded queues:
 
-  clients -> [submission queues, one per endorser, round-robin routing]
-          -> endorser workers (authorize, simulate, m-of-k stub)
-          -> [ordered queue] -> orderer (per-client resequencing, cuts
-             blocks at block_size or after block_timeout_ms)
+  clients -> [submission queue] -> endorser (authorize, simulate, m-of-k
+             stub, in arrival order)
+          -> [ordered queue] -> orderer (cuts blocks at block_size, or
+             after block_timeout_ms once the ordered queue runs dry)
           -> [block queue] -> committer (serial MVCC validation, hash
              chain append) -> [receipt queue] -> collector (final
              receipts, automatic re-endorsement of aborted transactions
              up to max_retries)
 
-Round-robin routing gives each endorser an equal share of the load; the
-orderer restores each client's submission order before cutting blocks, so
-per-client FIFO survives parallel endorsement. Transactions rejected at
-endorsement still send their (client, seq) slot with no transaction so
-the resequencer never waits on a sequence number that will not arrive.
-Retried transactions keep their submitter's (client, seq), which their
-receipts report, but the orderer resequences them in a synthetic "retry"
-lane with its own sequence numbers.
+Every in-process endorser would read the same state, and under the GIL
+they would never run in parallel, so one endorser thread signs for the
+whole ring of m endorser ids, picked from the submission seq. Because it
+endorses in FIFO order, each client's transactions reach the orderer in
+the order the client submitted them, and the orderer only batches, as
+Fabric's ordering service does. A transaction rejected at endorsement
+gets its receipt and never reaches the orderer. A retried transaction
+keeps its submitter's (client, seq), which its receipt reports, and
+re-enters at the tail of the submission queue.
 
-Both engines share one core: `endorse_pending` turns a payload into an
-endorsed transaction or a rejection receipt, and `settle` turns a
-committer verdict into a final receipt or a retry. The threaded runner
-only moves items between queues; `SyncLedger` runs the same steps in
-rounds.
+Both engines share one core: `bootstrap` commits the preload and setup
+blocks, `endorse_pending` turns a payload into an endorsed transaction
+or a rejection receipt, `commit_chunk` commits one block and counts it,
+and `settle` turns a committer verdict into a final receipt or a retry.
+The threaded runner only moves items between queues; `SyncLedger` runs
+the same steps in rounds.
 
-Overload: a monitor samples the submission queues while clients are still
-submitting; if every queue stays full for overload_window_s consecutive
-seconds the run is declared overloaded and cancelled. Every in-flight
+Overload: a monitor samples the submission queue while clients are still
+submitting; if it stays full for overload_window_s consecutive seconds
+the run is declared overloaded and cancelled. Every in-flight
 transaction then drains to a final cancelled receipt, so accounting stays
 exact: committed + aborted + rejected + cancelled == submitted.
 
@@ -53,6 +55,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 from consentledger.blocklog import (
@@ -119,15 +122,15 @@ class PipelineConfig:
             raise ConfigError("threads must be >= 1")
         if self.block_timeout_ms < 1:
             raise ConfigError("timeout_ms must be >= 1")
-        if self.submission_depth < self.endorsers:
-            raise ConfigError("submission_depth must cover every endorser queue")
+        # a queue.Queue with maxsize <= 0 is unbounded, which would defeat
+        # the overload model
+        for name in ("submission_depth", "ordered_depth", "block_queue_depth"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("overload_window_s", "stall_timeout_s"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
         return self
-
-    def policy_text(self) -> str:
-        return f"{self.policy_m}/{self.endorsers}"
-
-    def per_endorser_depth(self) -> int:
-        return max(1, self.submission_depth // self.endorsers)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -222,21 +225,19 @@ class Receipt:
 
 @dataclass(frozen=True)
 class _Pending:
-    """A payload travelling toward an endorser.
-
-    client_id and seq name the submission; lane is the orderer's
-    (client, seq) resequencing slot when it differs, as for retries.
-    """
+    """A payload travelling toward the endorser; client_id and seq name
+    the submission."""
 
     client_id: str
     seq: int
     tx_id: str
     payload: TransactionPayload
     retry_count: int = 0
-    lane: tuple | None = None
 
-    def order_slot(self) -> tuple:
-        return self.lane or (self.client_id, self.seq)
+
+def _retry(tx: EndorsedTransaction) -> _Pending:
+    """The next attempt of an aborted transaction, under its submitter's name."""
+    return _Pending(tx.client_id, tx.seq, tx.tx_id, tx.payload, tx.retry_count + 1)
 
 
 def _receipt(item, status: Status, **fields) -> Receipt:
@@ -262,9 +263,8 @@ class RunStats:
     elapsed_s: float = 0.0
     overloaded: bool = False
     endorser_counts: Counter = field(default_factory=Counter)
-    touch_total: int = 0
-    touch_min: int = 0
-    touch_max: int = 0
+    # keys touched by a committed transaction -> how many committed so
+    touches: Counter = field(default_factory=Counter)
     receipts: list = field(default_factory=list)
 
     def add(self, receipt: Receipt) -> None:
@@ -275,6 +275,18 @@ class RunStats:
 
     def finalized(self) -> int:
         return len(self.receipts)
+
+    @property
+    def touch_total(self) -> int:
+        return sum(keys * count for keys, count in self.touches.items())
+
+    @property
+    def touch_min(self) -> int:
+        return min(self.touches, default=0)
+
+    @property
+    def touch_max(self) -> int:
+        return max(self.touches, default=0)
 
 
 class EndorsementRejected(Exception):
@@ -338,7 +350,7 @@ def _endorser_ring(endorser_ids, start: int, m: int):
 
 
 class _Engine:
-    """Set-up and the endorse and settle steps both engines share."""
+    """Set-up and the endorse, commit and settle steps both engines share."""
 
     def __init__(
         self,
@@ -356,27 +368,47 @@ class _Engine:
         self.roster = registry.roster()
         self.endorser_ids = tuple(f"e{i}" for i in range(self.config.endorsers))
 
-    def _commit_alone(self, tx: EndorsedTransaction, what: str) -> None:
-        _, reasons = commit_block(self.state, self.log, (tx,), self.config.policy_m)
-        if reasons[0] != VALID:
-            raise ConfigError(f"{what} rejected: {reasons[0]}")
+    def bootstrap(self, preload: PreloadSpec | None = None, setup_payloads=()) -> int:
+        """Commit preload and setup blocks before any timed run.
+
+        Block 1 carries the state-init transaction when a preload is
+        given; it commits by regenerating the preload, so it needs no
+        endorsement. Each setup payload (role grants, scripted consent)
+        then commits in its own block through the normal endorsement path.
+        Returns the number of blocks appended.
+        """
+        start_height = self.log.height
+        unreported = RunStats()  # set-up belongs to no run
+
+        def commit_alone(tx: EndorsedTransaction, what: str) -> None:
+            _, reasons = commit_block(self.state, self.log, (tx,), self.config.policy_m)
+            if reasons[0] != VALID:
+                raise ConfigError(f"{what} rejected: {reasons[0]}")
+
+        if preload is not None:
+            init = state_init("w0", preload)
+            commit_alone(EndorsedTransaction("init-000000", init, ReadWriteSet()), "preload")
+        for i, payload in enumerate(setup_payloads):
+            pending = _Pending("setup", i, f"setup-{i:06d}", payload)
+            tx = self.endorse_pending(pending, unreported)
+            if isinstance(tx, Receipt):
+                raise ConfigError(f"setup payload {i} rejected: {tx.reason}")
+            commit_alone(tx, f"setup payload {i}")
+        return self.log.height - start_height
 
     def preload(self, spec: PreloadSpec) -> None:
-        """Commit the state-init block that installs spec's entries.
+        """Commit the state-init block that installs spec's entries."""
+        self.bootstrap(spec)
 
-        State-init commits by regenerating the preload, so it needs no
-        endorsement.
+    def endorse_pending(self, pending: _Pending, stats: RunStats):
+        """Endorse on the ring of m endorsers picked by the submission seq.
+
+        Counts the ring in stats. Returns the EndorsedTransaction, or a
+        REJECTED receipt when the payload fails authorization or cannot
+        execute.
         """
-        init = EndorsedTransaction("init-000000", state_init("w0", spec), ReadWriteSet())
-        self._commit_alone(init, "preload")
-
-    def endorse_pending(self, pending: _Pending, start: int):
-        """Endorse on the ring of m endorsers from start.
-
-        Returns the EndorsedTransaction, or a REJECTED receipt when the
-        payload fails authorization or cannot execute.
-        """
-        ring = _endorser_ring(self.endorser_ids, start, self.config.policy_m)
+        ring = _endorser_ring(self.endorser_ids, pending.seq, self.config.policy_m)
+        stats.endorser_counts.update(ring)
         try:
             return co_endorse(
                 pending, ring, self.state, self.registry, self.design, self.roster
@@ -386,6 +418,16 @@ class _Engine:
         except (ContractError, KeyCodecError) as exc:
             reason = f"contract: {exc}"
         return _receipt(pending, Status.REJECTED, reason=reason)
+
+    def commit_chunk(self, chunk, stats: RunStats) -> list:
+        """Commit one block; count it and the keys each valid transaction
+        touched in stats. Returns the per-transaction reasons."""
+        _, reasons = commit_block(self.state, self.log, chunk, self.config.policy_m)
+        stats.blocks += 1
+        for tx, reason in zip(chunk, reasons):
+            if reason == VALID:
+                stats.touches[tx.rwset.touch_count()] += 1
+        return reasons
 
     def settle(self, tx: EndorsedTransaction, reason: str, height: int):
         """A committer verdict as a final receipt, or None to retry."""
@@ -399,26 +441,6 @@ class _Engine:
 class LedgerHarness(_Engine):
     """Owns the state, the log, and threaded pipeline runs."""
 
-    def bootstrap(self, preload: PreloadSpec | None = None, setup_payloads=()) -> int:
-        """Commit preload and setup blocks before any timed run.
-
-        Block 1 carries the state-init transaction when a preload is
-        given; each setup payload (role grants, scripted consent) then
-        commits in its own block through the normal endorsement path.
-        Returns the number of blocks appended.
-        """
-        appended = 0
-        if preload is not None:
-            self.preload(preload)
-            appended += 1
-        for i, payload in enumerate(setup_payloads):
-            tx = self.endorse_pending(_Pending("setup", i, f"setup-{i:06d}", payload), i)
-            if isinstance(tx, Receipt):
-                raise ConfigError(f"setup payload {i} rejected: {tx.reason}")
-            self._commit_alone(tx, f"setup payload {i}")
-            appended += 1
-        return appended
-
     def run(self, client_batches) -> RunStats:
         """Push every payload batch through the pipeline; returns run stats.
 
@@ -431,9 +453,7 @@ class LedgerHarness(_Engine):
         if total == 0:
             return stats
 
-        submission_qs = [
-            queue.Queue(maxsize=cfg.per_endorser_depth()) for _ in self.endorser_ids
-        ]
+        submission_q = queue.Queue(maxsize=cfg.submission_depth)
         ordered_q = queue.Queue(maxsize=cfg.ordered_depth)
         block_q = queue.Queue(maxsize=cfg.block_queue_depth)
         receipt_q = queue.Queue()
@@ -456,197 +476,99 @@ class LedgerHarness(_Engine):
 
             return runner
 
-        route_lock = threading.Lock()
-        route_counter = [0]
-
         def cancelled(item) -> None:
             receipt_q.put(_receipt(item, Status.CANCELLED, reason="overload"))
 
-        def route(pending: _Pending) -> bool:
-            """Round-robin submit; returns False when cancelled instead."""
-            with route_lock:
-                slot = route_counter[0]
-                route_counter[0] += 1
-            target = submission_qs[slot % len(submission_qs)]
-            while not cancel.is_set():
+        def offer(q, item, give_up: threading.Event) -> bool:
+            """Put item on q once it has room; False if give_up is set first."""
+            while not give_up.is_set():
                 try:
-                    target.put(pending, timeout=0.05)
+                    q.put(item, timeout=0.05)
                     return True
                 except queue.Full:
                     continue
             return False
 
+        def drain(q):
+            """Yield q's items as they arrive until q is empty after stop."""
+            while True:
+                try:
+                    yield q.get(timeout=0.05)
+                except queue.Empty:
+                    if stop.is_set():
+                        return
+
         def client_main(client_index: int, payloads) -> None:
             client_id = f"client{client_index}"
             for seq, payload in enumerate(payloads):
                 pending = _Pending(client_id, seq, f"{client_id}-{seq:06d}", payload)
-                if not route(pending):
+                if not offer(submission_q, pending, cancel):
                     cancelled(pending)
 
-        def ordered_put(item) -> None:
-            while True:
-                try:
-                    ordered_q.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    if stop.is_set():
-                        return
-
-        endorse_counts = [Counter() for _ in self.endorser_ids]
-
-        def endorser_main(index: int) -> None:
-            my_q = submission_qs[index]
-            counts = endorse_counts[index]
-            ring = _endorser_ring(self.endorser_ids, index, cfg.policy_m)
-            while True:
-                try:
-                    pending = my_q.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-                    continue
+        def endorser_main() -> None:
+            for pending in drain(submission_q):
                 if cancel.is_set():
                     cancelled(pending)
                     continue
-                counts.update(ring)
-                tx = self.endorse_pending(pending, index)
+                tx = self.endorse_pending(pending, stats)
                 if isinstance(tx, Receipt):
                     receipt_q.put(tx)
-                    tx = None
-                ordered_put((*pending.order_slot(), tx))
+                else:
+                    offer(ordered_q, tx, stop)
 
         def orderer_main() -> None:
-            expected: dict = {}
-            held: dict = {}
             batch: list = []
-            deadline = [None]
-            flushed_on_cancel = False
-
-            def rearm() -> None:
-                if batch and deadline[0] is None:
-                    deadline[0] = time.monotonic() + cfg.block_timeout_ms / 1000
-                elif not batch:
-                    deadline[0] = None
-
-            def advance(client_id: str, seq: int, tx) -> None:
-                if seq != expected.get(client_id, 0):
-                    held[(client_id, seq)] = tx
-                    return
-                cursor = seq
-                while True:
-                    if tx is not None:
-                        batch.append(tx)
-                    cursor += 1
-                    expected[client_id] = cursor
-                    if (client_id, cursor) in held:
-                        tx = held.pop((client_id, cursor))
-                    else:
-                        return
-
-            def cut() -> None:
-                chunk = tuple(batch[: cfg.block_size])
-                del batch[: len(chunk)]
-                deadline[0] = None
-                if not chunk:
-                    return
-                while True:
-                    try:
-                        block_q.put(chunk, timeout=0.05)
-                        return
-                    except queue.Full:
-                        if stop.is_set():
-                            return
-
+            deadline = 0.0
             while True:
-                if cancel.is_set() and not flushed_on_cancel:
-                    flushed_on_cancel = True
-                    for tx in list(batch) + [t for t in held.values() if t is not None]:
-                        cancelled(tx)
-                    batch.clear()
-                    held.clear()
-                    deadline[0] = None
                 try:
-                    client_id, seq, tx = ordered_q.get(timeout=0.01)
+                    tx = ordered_q.get(timeout=0.01)
                 except queue.Empty:
                     if stop.is_set():
                         return
-                    if deadline[0] is not None and time.monotonic() >= deadline[0]:
-                        cut()
-                        rearm()
+                    if batch and time.monotonic() >= deadline:
+                        offer(block_q, tuple(batch), stop)
+                        batch = []
                     continue
                 if cancel.is_set():
-                    if tx is not None:
-                        cancelled(tx)
+                    for item in batch + [tx]:
+                        cancelled(item)
+                    batch = []
                     continue
-                advance(client_id, seq, tx)
-                while len(batch) >= cfg.block_size:
-                    cut()
-                rearm()
-
-        committer_stats = {"blocks": 0, "touch_total": 0, "touch_min": None, "touch_max": 0}
+                if not batch:
+                    deadline = time.monotonic() + cfg.block_timeout_ms / 1000
+                batch.append(tx)
+                if len(batch) == cfg.block_size:
+                    offer(block_q, tuple(batch), stop)
+                    batch = []
 
         def committer_main() -> None:
-            while True:
-                try:
-                    chunk = block_q.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-                    continue
-                _, reasons = commit_block(self.state, self.log, chunk, cfg.policy_m)
-                committer_stats["blocks"] += 1
+            for chunk in drain(block_q):
+                reasons = self.commit_chunk(chunk, stats)
                 for tx, reason in zip(chunk, reasons):
-                    if reason == VALID:
-                        touches = tx.rwset.touch_count()
-                        committer_stats["touch_total"] += touches
-                        low = committer_stats["touch_min"]
-                        if low is None or touches < low:
-                            committer_stats["touch_min"] = touches
-                        if touches > committer_stats["touch_max"]:
-                            committer_stats["touch_max"] = touches
                     receipt_q.put((tx, reason, self.log.height))
 
-        retry_seq = [0]
-
         def collector_main() -> None:
-            while stats.finalized() < total:
-                try:
-                    item = receipt_q.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-                    continue
-                if isinstance(item, Receipt):
-                    stats.add(item)
-                    continue
-                tx = item[0]
-                receipt = self.settle(*item)
-                if receipt is None:
-                    if not cancel.is_set():
-                        retry_seq[0] += 1
-                        pending = _Pending(
-                            client_id=tx.client_id,
-                            seq=tx.seq,
-                            tx_id=tx.tx_id,
-                            payload=tx.payload,
-                            retry_count=tx.retry_count + 1,
-                            lane=("retry", retry_seq[0] - 1),
-                        )
-                        if route(pending):
+            for item in drain(receipt_q):
+                if not isinstance(item, Receipt):
+                    tx = item[0]
+                    item = self.settle(*item)
+                    if item is None:
+                        if offer(submission_q, _retry(tx), cancel):
                             continue
-                    receipt = _receipt(tx, Status.CANCELLED, reason="overload")
-                stats.add(receipt)
-            completion.set()
+                        item = _receipt(tx, Status.CANCELLED, reason="overload")
+                stats.add(item)
+                if stats.finalized() == total:
+                    completion.set()
+                    return
 
         def monitor_main() -> None:
-            # A queue counts as saturated at 95% capacity: producers wake
+            # The queue counts as saturated at 95% capacity: producers wake
             # with some latency after each pop, so a strict full() check
             # would flicker and reset the window.
+            saturated = max(1, int(submission_q.maxsize * 0.95))
             saturated_since = None
             while not (clients_done.is_set() or cancel.is_set() or stop.is_set()):
-                if all(
-                    q.qsize() >= max(1, int(q.maxsize * 0.95)) for q in submission_qs
-                ):
+                if submission_q.qsize() >= saturated:
                     now = time.monotonic()
                     if saturated_since is None:
                         saturated_since = now
@@ -674,13 +596,8 @@ class LedgerHarness(_Engine):
             threading.Thread(target=watch_clients, daemon=True),
             threading.Thread(target=guarded(monitor_main), daemon=True),
         ]
-        for index in range(len(self.endorser_ids)):
-            threads.append(
-                threading.Thread(target=guarded(endorser_main), args=(index,), daemon=True)
-            )
-        threads.append(threading.Thread(target=guarded(orderer_main), daemon=True))
-        threads.append(threading.Thread(target=guarded(committer_main), daemon=True))
-        threads.append(threading.Thread(target=guarded(collector_main), daemon=True))
+        for stage in (endorser_main, orderer_main, committer_main, collector_main):
+            threads.append(threading.Thread(target=guarded(stage), daemon=True))
 
         started = time.monotonic()
         for t in threads:
@@ -706,13 +623,6 @@ class LedgerHarness(_Engine):
             t.join(timeout=10.0)
         if faults:
             raise PipelineFault(f"worker thread failed: {faults[0]!r}") from faults[0]
-
-        stats.blocks = committer_stats["blocks"]
-        stats.touch_total = committer_stats["touch_total"]
-        stats.touch_min = committer_stats["touch_min"] or 0
-        stats.touch_max = committer_stats["touch_max"]
-        for counts in endorse_counts:
-            stats.endorser_counts.update(counts)
         return stats
 
 
@@ -746,16 +656,22 @@ class SyncLedger(_Engine):
             self.roster,
         )
 
-    def submit_batch(self, payloads) -> list:
-        """Run payloads to final receipts; returns receipts in payload order."""
+    def run(self, client_batches) -> RunStats:
+        """Run every payload to a final receipt; returns run stats.
+
+        Payloads are taken round-robin across the batches, which inverts
+        `bench.split_batches`, and stats.receipts lists them in that order.
+        """
+        started = time.monotonic()
+        payloads = [p for row in zip_longest(*client_batches) for p in row if p is not None]
         pending = [self._next_pending(payload) for payload in payloads]
         order = [p.tx_id for p in pending]
+        stats = RunStats(submitted=len(pending))
         receipts: dict = {}
         while pending:
             endorsed = []
             for item in pending:
-                # the ring follows the submission seq, which retries keep
-                tx = self.endorse_pending(item, item.seq)
+                tx = self.endorse_pending(item, stats)
                 if isinstance(tx, Receipt):
                     receipts[item.tx_id] = tx
                 else:
@@ -763,18 +679,21 @@ class SyncLedger(_Engine):
             pending = []
             for start in range(0, len(endorsed), self.config.block_size):
                 chunk = endorsed[start : start + self.config.block_size]
-                _, reasons = commit_block(self.state, self.log, chunk, self.config.policy_m)
+                reasons = self.commit_chunk(chunk, stats)
                 for tx, reason in zip(chunk, reasons):
                     receipt = self.settle(tx, reason, self.log.height)
-                    if receipt is not None:
+                    if receipt is None:
+                        pending.append(_retry(tx))
+                    else:
                         receipts[tx.tx_id] = receipt
-                        continue
-                    pending.append(
-                        _Pending(
-                            tx.client_id, tx.seq, tx.tx_id, tx.payload, tx.retry_count + 1
-                        )
-                    )
-        return [receipts[tx_id] for tx_id in order]
+        for tx_id in order:
+            stats.add(receipts[tx_id])
+        stats.elapsed_s = time.monotonic() - started
+        return stats
+
+    def submit_batch(self, payloads) -> list:
+        """Run payloads to final receipts; returns receipts in payload order."""
+        return self.run([payloads]).receipts
 
     def submit_one(self, payload) -> Receipt:
         return self.submit_batch([payload])[0]

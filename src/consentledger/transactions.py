@@ -7,7 +7,7 @@ state-init carries a PreloadSpec so bulk-loaded states stay replayable
 from the chain.
 
 Wire layout of a payload: u8 kind, actor string, then the kind's fields
-in fixed order (see _PAYLOAD_FIELDS below). An endorsed transaction adds
+in fixed order (see `TransactionPayload.to_bytes`). An endorsed transaction adds
 tx id, captured read-write set, endorser ids, a deterministic endorsement
 stub (SHA-256 over payload, rwset, and endorser ids; stands in for
 signatures, which are out of scope here), and the access decision when

@@ -141,9 +141,6 @@ class VersionedWorldState:
     def items(self) -> Iterator:
         return iter(self._entries.items())
 
-    def entries_snapshot(self) -> dict:
-        return dict(self._entries)
-
     def apply_write(self, key: str, value: Value) -> int:
         """Commit one write, bumping the key's version. Returns new version."""
         version = self.version_of(key) + 1

@@ -191,13 +191,18 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
         ["replay", "--registry", "{malformed}"],
         ["replay", "--policy", "two/three"],
         ["bench", "conflict", "--config", "{missing}"],
+        ["bench", "conflict", "--config", "{unbounded}"],
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, args):
     log_path, _, _ = _write_scripted_log(tmp_path)
     malformed = tmp_path / "bad-actors.txt"
     malformed.write_text("individual\n", encoding="utf-8")
-    argv = [a.format(missing=tmp_path / "missing", malformed=malformed) for a in args]
+    # a depth of 0 would make an unbounded queue
+    unbounded = tmp_path / "unbounded.conf"
+    unbounded.write_text("ordered_depth = 0\n", encoding="utf-8")
+    paths = dict(missing=tmp_path / "missing", malformed=malformed, unbounded=unbounded)
+    argv = [a.format(**paths) for a in args]
     if argv[0] == "replay":
         argv += ["--log", str(log_path)]
     assert main(argv) == 2

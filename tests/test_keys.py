@@ -10,12 +10,8 @@ from consentledger.keys import (
     ConsentFact,
     KeyCodecError,
     WorldStateDesign,
-    decode_consent_key,
-    decode_role_key,
     encode_consent_key,
     encode_role_key,
-    is_consent_key,
-    is_role_key,
     split_key,
     validate_token,
 )
@@ -43,27 +39,11 @@ def test_rows_layout():
 
 def test_role_key_layout():
     assert encode_role_key("d1", "c9", "w1") == "d1|c9|w1"
-    assert decode_role_key("d1|c9|w1") == ("d1", "c9", "w1")
 
 
 def _random_token(rng):
     alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
-
-
-def test_encode_decode_roundtrip():
-    rng = random.Random(42)
-    for _ in range(200):
-        fact = ConsentFact(
-            ind_id=_random_token(rng),
-            res_id=_random_token(rng),
-            role_id=_random_token(rng),
-            wd_id=_random_token(rng),
-            time_id=_random_token(rng),
-        )
-        for design in WorldStateDesign:
-            key, member = encode_consent_key(design, fact)
-            assert decode_consent_key(design, key, member) == fact
 
 
 def test_encoding_injective_per_design():
@@ -94,18 +74,14 @@ def test_bad_tokens_rejected(bad):
 
 def test_decode_wrong_shape():
     with pytest.raises(KeyCodecError):
-        decode_consent_key(WorldStateDesign.IWS, "a|b|c", "m")
-    with pytest.raises(KeyCodecError):
-        decode_role_key("a|b|c|d")
-    with pytest.raises(KeyCodecError):
         split_key("a||b")
 
 
 def test_keyspace_shapes_disjoint():
     consent_key, _ = encode_consent_key(WorldStateDesign.IWS, FACT)
     role_key = encode_role_key("d1", "c9", "w1")
-    assert is_consent_key(consent_key) and not is_role_key(consent_key)
-    assert is_role_key(role_key) and not is_consent_key(role_key)
+    assert len(split_key(consent_key)) == 4
+    assert len(split_key(role_key)) == 3
 
 
 def test_design_parse():

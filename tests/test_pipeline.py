@@ -54,7 +54,13 @@ def test_config_validate_errors():
         dict(max_retries=-1),
         dict(client_threads=0),
         dict(block_timeout_ms=0),
-        dict(submission_depth=1, endorsers=4),
+        dict(submission_depth=0),
+        dict(ordered_depth=0),
+        dict(block_queue_depth=-1),
+        dict(overload_window_s=0),
+        dict(overload_window_s=-1.5),
+        dict(overload_window_s=float("nan")),
+        dict(stall_timeout_s=0),
     ):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs).validate()
@@ -79,7 +85,6 @@ def test_config_from_file(tmp_path):
     assert cfg.block_timeout_ms == 10
     assert cfg.client_threads == 8
     assert cfg.submission_depth == 600
-    assert cfg.policy_text() == "2/3"
 
 
 def test_config_rejects_policy_endorser_mismatch(tmp_path):
@@ -284,6 +289,33 @@ def test_threaded_rejection_leaves_no_gap():
     assert stats.committed == 10
     assert stats.rejected == 1
     assert stats.finalized() == 11
+
+
+def test_threaded_overload_cancels_and_accounts():
+    # rws access requests scan every individual's consent key, so the one
+    # endorser falls behind two clients and the tiny queue stays full
+    registry = population_registry(2_000)
+    cfg = PipelineConfig(submission_depth=4, overload_window_s=0.2)
+    harness = LedgerHarness(WorldStateDesign.RWS, registry, cfg)
+    spec = PreloadSpec(
+        design=WorldStateDesign.RWS,
+        n_individuals=2_000,
+        n_resources=20,
+        n_roles=1,
+        n_watchdogs=1,
+        n_timeframes=1,
+        key_space=2_000,
+        value_space=20,
+    )
+    harness.bootstrap(spec, [assign_role("w0", "d0", "c0", "w0")])
+    payloads = [
+        access_request("c0", "c0", "d0", "w0", f"r{i % 20}", "t0") for i in range(400)
+    ]
+    stats = harness.run(_batches(payloads, 2))
+    assert stats.overloaded
+    assert stats.cancelled > 0
+    assert stats.committed + stats.aborted + stats.rejected + stats.cancelled == 400
+    assert stats.submitted == stats.finalized() == 400
 
 
 def _golden_op(rng, design):
