@@ -35,7 +35,7 @@ from consentledger.audit import (
 from consentledger.blocklog import FileLogStore, verified_blocks
 from consentledger.keys import KeyCodecError, WorldStateDesign
 from consentledger.membership import MembershipError, MembershipRegistry
-from consentledger.pipeline import ConfigError, PipelineConfig, parse_policy
+from consentledger.pipeline import ConfigError, PipelineConfig, parse_policy, read_config
 from consentledger.worldstate import digest_entries
 
 
@@ -80,29 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _bench_config(args) -> PipelineConfig:
-    cfg = (
-        PipelineConfig.from_file(args.config)
-        if args.config
-        else PipelineConfig()
-    )
-    updates = {}
-    if args.block_size is not None:
-        updates["block_size"] = args.block_size
-    if args.endorsers is not None:
-        updates["endorsers"] = args.endorsers
-    if args.policy is not None:
-        m, k = parse_policy(args.policy)
-        updates["policy_m"] = m
-        if args.endorsers is not None and args.endorsers != k:
-            raise ConfigError(
-                f"policy {args.policy} does not match --endorsers {args.endorsers}"
-            )
-        updates["endorsers"] = k
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg.validate()
+    """The --config file's values, with the flags replacing the same keys."""
+    values = read_config(args.config) if args.config else {}
+    flags = {"block_size": args.block_size, "endorsers": args.endorsers, "policy": args.policy}
+    values.update((key, str(value)) for key, value in flags.items() if value is not None)
+    return PipelineConfig.from_mapping(values, where=args.config or "bench")
 
 
 def _cell_log_path(base: str, index: int, count: int) -> Path:

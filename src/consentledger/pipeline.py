@@ -1,25 +1,26 @@
 """Execute-order-validate pipeline over the block log.
 
-Stages, each its own thread, connected by bounded queues:
+Client threads, one endorser thread and one committer thread, connected
+by bounded queues; the thread that called `run` settles the receipts:
 
   clients -> [submission queue] -> endorser (authorize, simulate, m-of-k
              stub, in arrival order)
-          -> [ordered queue] -> orderer (cuts blocks at block_size, or
-             after block_timeout_ms once the ordered queue runs dry)
-          -> [block queue] -> committer (serial MVCC validation, hash
-             chain append) -> [receipt queue] -> collector (final
-             receipts, automatic re-endorsement of aborted transactions
-             up to max_retries)
+          -> [ordered queue] -> committer (cuts blocks at block_size, or
+             after block_timeout_ms once the ordered queue runs dry;
+             serial MVCC validation, hash chain append)
+          -> [receipt queue] -> calling thread (final receipts, automatic
+             re-endorsement of aborted transactions up to max_retries)
 
 Every in-process endorser would read the same state, and under the GIL
 they would never run in parallel, so one endorser thread signs for the
 whole ring of m endorser ids, picked from the submission seq. Because it
-endorses in FIFO order, each client's transactions reach the orderer in
-the order the client submitted them, and the orderer only batches, as
-Fabric's ordering service does. A transaction rejected at endorsement
-gets its receipt and never reaches the orderer. A retried transaction
-keeps its submitter's (client, seq), which its receipt reports, and
-re-enters at the tail of the submission queue.
+endorses in FIFO order, each client's transactions reach the committer
+in the order the client submitted them, and the committer only has to
+cut them into blocks, as the block cutter in Fabric's ordering service
+does. A transaction rejected at endorsement gets its receipt and never
+reaches the committer. A retried transaction keeps its submitter's
+(client, seq), which its receipt reports, and re-enters at the tail of
+the submission queue.
 
 Both engines share one core: `bootstrap` commits the preload and setup
 blocks, `endorse_pending` turns a payload into an endorsed transaction
@@ -44,7 +45,7 @@ Config file format (one `key = value` per line, '#' comments):
     threads    = 100
 
 plus optional tuning keys: submission_depth, ordered_depth,
-block_queue_depth, overload_window_s, stall_timeout_s.
+overload_window_s, stall_timeout_s.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class ConfigError(ValueError):
 
 
 class PipelineStallError(RuntimeError):
-    """Raised when a run stops finalizing receipts without being cancelled."""
+    """Raised when a run gets no receipt for stall_timeout_s."""
 
 
 class PipelineFault(RuntimeError):
@@ -103,7 +104,6 @@ class PipelineConfig:
     block_timeout_ms: int = 50
     submission_depth: int = 8000
     ordered_depth: int = 512
-    block_queue_depth: int = 8
     overload_window_s: float = 5.0
     stall_timeout_s: float = 120.0
 
@@ -124,7 +124,7 @@ class PipelineConfig:
             raise ConfigError("timeout_ms must be >= 1")
         # a queue.Queue with maxsize <= 0 is unbounded, which would defeat
         # the overload model
-        for name in ("submission_depth", "ordered_depth", "block_queue_depth"):
+        for name in ("submission_depth", "ordered_depth"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("overload_window_s", "stall_timeout_s"):
@@ -134,18 +134,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        values = {}
-        for lineno, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-        return cls.from_mapping(values, where=str(path))
+        return cls.from_mapping(read_config(path), where=str(path))
 
     @classmethod
     def from_mapping(cls, values: dict, where: str = "config") -> "PipelineConfig":
@@ -157,7 +146,6 @@ class PipelineConfig:
             "threads": "client_threads",
             "submission_depth": "submission_depth",
             "ordered_depth": "ordered_depth",
-            "block_queue_depth": "block_queue_depth",
         }
         float_keys = {
             "overload_window_s": "overload_window_s",
@@ -176,19 +164,32 @@ class PipelineConfig:
                 except ValueError:
                     raise ConfigError(f"{where}: {key} must be a number")
             elif key == "policy":
-                m, k = parse_policy(value)
-                updates["policy_m"] = m
-                updates.setdefault("endorsers", k)
+                updates["policy_m"], policy_k = parse_policy(value)
             else:
                 raise ConfigError(f"{where}: unknown key {key!r}")
-        if "policy" in values and "endorsers" in values:
-            m, k = parse_policy(values["policy"])
-            if k != updates.get("endorsers"):
+        if "policy" in values:
+            if updates.setdefault("endorsers", policy_k) != policy_k:
                 raise ConfigError(
                     f"{where}: policy {values['policy']} does not match "
                     f"endorsers = {values['endorsers']}"
                 )
         return replace(cls(), **updates).validate()
+
+
+def read_config(path) -> dict:
+    """The `key = value` lines of a config file, as strings."""
+    values = {}
+    for lineno, raw in enumerate(
+        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
+    return values
 
 
 def parse_policy(text: str):
@@ -396,10 +397,6 @@ class _Engine:
             commit_alone(tx, f"setup payload {i}")
         return self.log.height - start_height
 
-    def preload(self, spec: PreloadSpec) -> None:
-        """Commit the state-init block that installs spec's entries."""
-        self.bootstrap(spec)
-
     def endorse_pending(self, pending: _Pending, stats: RunStats):
         """Endorse on the ring of m endorsers picked by the submission seq.
 
@@ -455,24 +452,19 @@ class LedgerHarness(_Engine):
 
         submission_q = queue.Queue(maxsize=cfg.submission_depth)
         ordered_q = queue.Queue(maxsize=cfg.ordered_depth)
-        block_q = queue.Queue(maxsize=cfg.block_queue_depth)
+        # final receipts, committer verdicts and worker exceptions
         receipt_q = queue.Queue()
 
         cancel = threading.Event()
-        clients_done = threading.Event()
-        completion = threading.Event()
         stop = threading.Event()
-        faults: list = []
 
         def guarded(fn):
             def runner(*args):
                 try:
                     fn(*args)
-                except Exception as exc:  # fail loud in the main thread
-                    faults.append(exc)
+                except Exception as exc:  # fail loud in the calling thread
                     cancel.set()
-                    stop.set()
-                    completion.set()
+                    receipt_q.put(exc)
 
             return runner
 
@@ -489,15 +481,6 @@ class LedgerHarness(_Engine):
                     continue
             return False
 
-        def drain(q):
-            """Yield q's items as they arrive until q is empty after stop."""
-            while True:
-                try:
-                    yield q.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-
         def client_main(client_index: int, payloads) -> None:
             client_id = f"client{client_index}"
             for seq, payload in enumerate(payloads):
@@ -506,7 +489,13 @@ class LedgerHarness(_Engine):
                     cancelled(pending)
 
         def endorser_main() -> None:
-            for pending in drain(submission_q):
+            while True:
+                try:
+                    pending = submission_q.get(timeout=0.05)
+                except queue.Empty:
+                    if stop.is_set():
+                        return
+                    continue
                 if cancel.is_set():
                     cancelled(pending)
                     continue
@@ -516,7 +505,14 @@ class LedgerHarness(_Engine):
                 else:
                     offer(ordered_q, tx, stop)
 
-        def orderer_main() -> None:
+        def commit(batch) -> None:
+            reasons = self.commit_chunk(batch, stats)
+            for tx, reason in zip(batch, reasons):
+                receipt_q.put((tx, reason, self.log.height))
+
+        def committer_main() -> None:
+            # cuts a block at block_size, or after block_timeout_ms once the
+            # ordered queue has run dry
             batch: list = []
             deadline = 0.0
             while True:
@@ -526,7 +522,7 @@ class LedgerHarness(_Engine):
                     if stop.is_set():
                         return
                     if batch and time.monotonic() >= deadline:
-                        offer(block_q, tuple(batch), stop)
+                        commit(batch)
                         batch = []
                     continue
                 if cancel.is_set():
@@ -538,28 +534,8 @@ class LedgerHarness(_Engine):
                     deadline = time.monotonic() + cfg.block_timeout_ms / 1000
                 batch.append(tx)
                 if len(batch) == cfg.block_size:
-                    offer(block_q, tuple(batch), stop)
+                    commit(batch)
                     batch = []
-
-        def committer_main() -> None:
-            for chunk in drain(block_q):
-                reasons = self.commit_chunk(chunk, stats)
-                for tx, reason in zip(chunk, reasons):
-                    receipt_q.put((tx, reason, self.log.height))
-
-        def collector_main() -> None:
-            for item in drain(receipt_q):
-                if not isinstance(item, Receipt):
-                    tx = item[0]
-                    item = self.settle(*item)
-                    if item is None:
-                        if offer(submission_q, _retry(tx), cancel):
-                            continue
-                        item = _receipt(tx, Status.CANCELLED, reason="overload")
-                stats.add(item)
-                if stats.finalized() == total:
-                    completion.set()
-                    return
 
         def monitor_main() -> None:
             # The queue counts as saturated at 95% capacity: producers wake
@@ -567,7 +543,9 @@ class LedgerHarness(_Engine):
             # would flicker and reset the window.
             saturated = max(1, int(submission_q.maxsize * 0.95))
             saturated_since = None
-            while not (clients_done.is_set() or cancel.is_set() or stop.is_set()):
+            while not (cancel.is_set() or stop.is_set()) and any(
+                t.is_alive() for t in client_workers
+            ):
                 if submission_q.qsize() >= saturated:
                     now = time.monotonic()
                     if saturated_since is None:
@@ -586,43 +564,39 @@ class LedgerHarness(_Engine):
             )
             for client_index, payloads in enumerate(batches)
         ]
-
-        def watch_clients() -> None:
-            for t in client_workers:
-                t.join()
-            clients_done.set()
-
         threads = client_workers + [
-            threading.Thread(target=watch_clients, daemon=True),
-            threading.Thread(target=guarded(monitor_main), daemon=True),
+            threading.Thread(target=guarded(stage), daemon=True)
+            for stage in (monitor_main, endorser_main, committer_main)
         ]
-        for stage in (endorser_main, orderer_main, committer_main, collector_main):
-            threads.append(threading.Thread(target=guarded(stage), daemon=True))
 
         started = time.monotonic()
         for t in threads:
             t.start()
-
-        last_progress = time.monotonic()
-        last_finalized = -1
-        while not completion.wait(timeout=0.2):
-            finalized_now = stats.finalized()
-            if finalized_now != last_finalized:
-                last_finalized = finalized_now
-                last_progress = time.monotonic()
-            elif time.monotonic() - last_progress > cfg.stall_timeout_s:
-                cancel.set()
-                stop.set()
-                raise PipelineStallError(
-                    f"no receipt progress for {cfg.stall_timeout_s}s "
-                    f"({finalized_now}/{total} finalized)"
-                )
-        stats.elapsed_s = time.monotonic() - started
-        stop.set()
-        for t in threads:
-            t.join(timeout=10.0)
-        if faults:
-            raise PipelineFault(f"worker thread failed: {faults[0]!r}") from faults[0]
+        try:
+            while stats.finalized() < total:
+                try:
+                    item = receipt_q.get(timeout=cfg.stall_timeout_s)
+                except queue.Empty:
+                    raise PipelineStallError(
+                        f"no receipt progress for {cfg.stall_timeout_s}s "
+                        f"({stats.finalized()}/{total} finalized)"
+                    ) from None
+                if isinstance(item, Exception):
+                    raise PipelineFault(f"worker thread failed: {item!r}") from item
+                if not isinstance(item, Receipt):
+                    tx = item[0]
+                    item = self.settle(*item)
+                    if item is None:
+                        if offer(submission_q, _retry(tx), cancel):
+                            continue
+                        item = _receipt(tx, Status.CANCELLED, reason="overload")
+                stats.add(item)
+            stats.elapsed_s = time.monotonic() - started
+        finally:
+            cancel.set()  # stops a faulted or stalled run; harmless once all are final
+            stop.set()
+            for t in threads:
+                t.join(timeout=10.0)
         return stats
 
 

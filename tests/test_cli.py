@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from consentledger.blocklog import BlockLog, FileLogStore
-from consentledger.cli import main
+from consentledger.cli import _bench_config, build_parser, main
 from consentledger.keys import ConsentFact, WorldStateDesign
 from consentledger.membership import population_registry
 from consentledger.pipeline import PipelineConfig, SyncLedger
@@ -77,6 +77,12 @@ def test_bench_policy_endorser_mismatch_exits_2(capsys):
     code = main(["bench", "conflict", "--policy", "1/2", "--endorsers", "3"])
     assert code == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_bench_policy_flag_sets_endorsers():
+    args = build_parser().parse_args(["bench", "conflict", "--policy", "2/3"])
+    cfg = _bench_config(args)
+    assert (cfg.policy_m, cfg.endorsers) == (2, 3)
 
 
 def test_bench_rejects_unknown_kind():
@@ -192,6 +198,7 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
         ["replay", "--policy", "two/three"],
         ["bench", "conflict", "--config", "{missing}"],
         ["bench", "conflict", "--config", "{unbounded}"],
+        ["bench", "conflict", "--config", "{policy}", "--endorsers", "5"],
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, args):
@@ -201,7 +208,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys, args):
     # a depth of 0 would make an unbounded queue
     unbounded = tmp_path / "unbounded.conf"
     unbounded.write_text("ordered_depth = 0\n", encoding="utf-8")
-    paths = dict(missing=tmp_path / "missing", malformed=malformed, unbounded=unbounded)
+    # --endorsers 5 contradicts the file's policy = 2/3
+    policy = tmp_path / "policy.conf"
+    policy.write_text("policy = 2/3\n", encoding="utf-8")
+    paths = dict(
+        missing=tmp_path / "missing", malformed=malformed, unbounded=unbounded, policy=policy
+    )
     argv = [a.format(**paths) for a in args]
     if argv[0] == "replay":
         argv += ["--log", str(log_path)]

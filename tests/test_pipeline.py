@@ -2,18 +2,21 @@
 
 import hashlib
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from consentledger import wire
-from consentledger.blocklog import verify_chain
+from consentledger.blocklog import BlockLog, verify_chain
 from consentledger.keys import ConsentFact, WorldStateDesign, encode_consent_key
 from consentledger.membership import population_registry
 from consentledger.pipeline import (
     ConfigError,
     LedgerHarness,
     PipelineConfig,
+    PipelineFault,
+    PipelineStallError,
     Status,
     SyncLedger,
     parse_policy,
@@ -56,7 +59,6 @@ def test_config_validate_errors():
         dict(block_timeout_ms=0),
         dict(submission_depth=0),
         dict(ordered_depth=0),
-        dict(block_queue_depth=-1),
         dict(overload_window_s=0),
         dict(overload_window_s=-1.5),
         dict(overload_window_s=float("nan")),
@@ -99,6 +101,8 @@ def test_config_rejects_unknown_and_malformed_keys(tmp_path):
         PipelineConfig.from_mapping({"block_sise": "10"})
     with pytest.raises(ConfigError):
         PipelineConfig.from_mapping({"block_size": "ten"})
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_mapping({"block_queue_depth": "8"})
     path = tmp_path / "pipeline.conf"
     path.write_text("block_size\n", encoding="utf-8")
     with pytest.raises(ConfigError):
@@ -171,11 +175,11 @@ def test_sync_preload_then_work():
         key_space=3,
         value_space=2,
     )
-    ledger.preload(spec)
+    ledger.bootstrap(spec)
     assert ledger.state.key_count() == 3
     assert ledger.log.height == 1
     with pytest.raises(ConfigError):
-        ledger.preload(spec)
+        ledger.bootstrap(spec)
 
 
 def test_harness_bootstrap_counts_blocks():
@@ -318,6 +322,39 @@ def test_threaded_overload_cancels_and_accounts():
     assert stats.submitted == stats.finalized() == 400
 
 
+def test_threaded_worker_fault_raises_pipeline_fault():
+    registry = population_registry(4)
+
+    def authorize(payload):
+        raise RuntimeError("registry down")
+
+    registry.authorize = authorize
+    cfg = PipelineConfig(block_size=4, block_timeout_ms=10, stall_timeout_s=30)
+    harness = LedgerHarness(DESIGN, registry, cfg)
+    payloads = [grant_consent(f.ind_id, f) for f in _facts(8, 4)]
+    started = time.monotonic()
+    with pytest.raises(PipelineFault, match="registry down"):
+        harness.run(_batches(payloads, 2))
+    assert time.monotonic() - started < 5
+
+
+def test_threaded_silent_committer_raises_stall():
+    registry = population_registry(4)
+    log = BlockLog()
+    append = log.store.append
+
+    def slow_append(record):
+        time.sleep(1.0)
+        append(record)
+
+    log.store.append = slow_append
+    cfg = PipelineConfig(block_size=4, block_timeout_ms=10, stall_timeout_s=0.3)
+    harness = LedgerHarness(DESIGN, registry, cfg, log=log)
+    payloads = [grant_consent(f.ind_id, f) for f in _facts(4, 4)]
+    with pytest.raises(PipelineStallError):
+        harness.run([payloads])
+
+
 def _golden_op(rng, design):
     """One random consent, role or access operation, some of them invalid."""
     ind, other = f"i{rng.randrange(6)}", f"i{rng.randrange(6)}"
@@ -347,7 +384,7 @@ def _golden_digest(design, policy):
     registry = population_registry(6, n_watchdogs=2, n_consumers=2)
     cfg = PipelineConfig(block_size=4, endorsers=k, policy_m=m, max_retries=1)
     ledger = SyncLedger(design, registry, cfg)
-    ledger.preload(
+    ledger.bootstrap(
         PreloadSpec(
             design=design,
             n_individuals=6,
