@@ -49,7 +49,7 @@ from consentledger.pipeline import (
     PipelineConfig,
     SyncLedger,
 )
-from consentledger.preload import PreloadError, PreloadSpec
+from consentledger.preload import COUNT_FIELDS, PreloadError, PreloadSpec
 from consentledger.transactions import (
     access_request,
     assign_role,
@@ -146,16 +146,8 @@ class WorkloadSpec:
     def preload_spec(self) -> PreloadSpec | None:
         if self.key_space <= 0:
             return None
-        return PreloadSpec(
-            design=self.design,
-            n_individuals=self.n_individuals,
-            n_resources=self.n_resources,
-            n_roles=self.n_roles,
-            n_watchdogs=self.n_watchdogs,
-            n_timeframes=self.n_timeframes,
-            key_space=self.key_space,
-            value_space=self.value_space,
-        )
+        # a workload names its preload counts as PreloadSpec does
+        return PreloadSpec(self.design, *[getattr(self, name) for name in COUNT_FIELDS])
 
     def needs_role_grant(self) -> bool:
         return self.kind == "table3"
@@ -197,6 +189,25 @@ class BenchResult:
         ]
 
 
+# kind -> (default total_txs, cells, the WorkloadSpec fields of one cell);
+# table3 varies the design per cell and has its own spec builder
+_SWEEP_CELLS = {
+    "keyspace": (2_000, KEYSPACE_CELLS, lambda cell: dict(
+        n_individuals=100, n_resources=cell, key_space=cell, value_space=100,
+        keys_per_tx=100)),
+    "valuespace": (2_000, VALUESPACE_CELLS, lambda cell: dict(
+        n_individuals=max(100, cell), n_resources=20_000, key_space=20_000,
+        value_space=cell, keys_per_tx=100)),
+    "txsize": (1_000, TXSIZE_CELLS, lambda cell: dict(
+        n_individuals=100, n_resources=20_000, key_space=20_000, value_space=100,
+        keys_per_tx=cell)),
+    # k transactions per cell, whatever total_txs asks for
+    "conflict": (None, CONFLICT_CELLS, lambda k: dict(
+        n_individuals=max(100, k), n_resources=100, conflict_k=k, total_txs=k)),
+}
+_SWEEP_CELLS["write-valuespace"] = _SWEEP_CELLS["valuespace"]
+
+
 def gen_sweep(
     kind: str,
     design: WorldStateDesign = WorldStateDesign.IWS,
@@ -204,76 +215,19 @@ def gen_sweep(
     seed: int = 7,
 ) -> list:
     """The workload specs for one named sweep, in run order."""
-    if kind == "keyspace":
-        txs = total_txs if total_txs is not None else 2_000
-        return [
-            WorkloadSpec(
-                kind=kind,
-                design=design,
-                n_individuals=100,
-                n_resources=cells,
-                key_space=cells,
-                value_space=100,
-                keys_per_tx=100,
-                total_txs=txs,
-                seed=seed,
-            ).validate()
-            for cells in KEYSPACE_CELLS
-        ]
-    if kind in ("valuespace", "write-valuespace"):
-        txs = total_txs if total_txs is not None else 2_000
-        return [
-            WorkloadSpec(
-                kind=kind,
-                design=design,
-                n_individuals=max(100, cells),
-                n_resources=20_000,
-                key_space=20_000,
-                value_space=cells,
-                keys_per_tx=100,
-                total_txs=txs,
-                seed=seed,
-            ).validate()
-            for cells in VALUESPACE_CELLS
-        ]
-    if kind == "txsize":
-        txs = total_txs if total_txs is not None else 1_000
-        return [
-            WorkloadSpec(
-                kind=kind,
-                design=design,
-                n_individuals=100,
-                n_resources=20_000,
-                key_space=20_000,
-                value_space=100,
-                keys_per_tx=cells,
-                total_txs=txs,
-                seed=seed,
-            ).validate()
-            for cells in TXSIZE_CELLS
-        ]
     if kind == "table3":
         txs = total_txs if total_txs is not None else 10_000
-        specs = []
-        for n_res, n_ind in TABLE3_CELLS:
-            for cell_design in (WorldStateDesign.RWS, WorldStateDesign.IWS):
-                specs.append(table3_spec(cell_design, n_res, n_ind, txs, seed))
-        return specs
-    if kind == "conflict":
-        txs = total_txs  # ignored; k transactions per cell
         return [
-            WorkloadSpec(
-                kind=kind,
-                design=design,
-                n_individuals=max(100, k),
-                n_resources=100,
-                conflict_k=k,
-                total_txs=k,
-                seed=seed,
-            ).validate()
-            for k in CONFLICT_CELLS
+            table3_spec(cell_design, n_res, n_ind, txs, seed)
+            for n_res, n_ind in TABLE3_CELLS
+            for cell_design in (WorldStateDesign.RWS, WorldStateDesign.IWS)
         ]
-    raise WorkloadError(f"unknown workload kind {kind!r}")
+    if kind not in _SWEEP_CELLS:
+        raise WorkloadError(f"unknown workload kind {kind!r}")
+    default_txs, cells, cell_fields = _SWEEP_CELLS[kind]
+    txs = total_txs if total_txs is not None else default_txs
+    common = dict(kind=kind, design=design, total_txs=txs, seed=seed)
+    return [WorkloadSpec(**{**common, **cell_fields(cell)}).validate() for cell in cells]
 
 
 def table3_spec(

@@ -186,9 +186,7 @@ def parse_block(record: bytes) -> Block:
     for _ in range(n_txs):
         chunk = reader.take_chunk()
         wire.hash_chunk(read_hash, chunk)
-        sub = wire.Reader(chunk)
-        transactions.append(EndorsedTransaction.from_reader(sub))
-        sub.expect_end()
+        transactions.append(wire.decode_exact(chunk, EndorsedTransaction.from_reader))
     n_flags = reader.take_u32()
     validity = tuple(reader.take_flag() for _ in range(n_flags))
     block_hash = reader.take_chunk()

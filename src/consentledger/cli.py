@@ -15,7 +15,9 @@ consumer:c0, watchdog:w0. verify exits 1 when the chain fails its hash
 walk, replay exits 1 when re-execution disagrees with the stored flags
 or answers. audit, verify and replay only read the log: a missing or
 empty log file exits 2 and is not created. A missing or malformed
---registry or --config file and a bad --policy also exit 2.
+--registry or --config file and a bad --policy also exit 2, and so does a
+bench --log-file in a missing directory or one that already holds a
+chain, before any cell runs.
 """
 
 from __future__ import annotations
@@ -87,11 +89,12 @@ def _bench_config(args) -> PipelineConfig:
     return PipelineConfig.from_mapping(values, where=args.config or "bench")
 
 
-def _cell_log_path(base: str, index: int, count: int) -> Path:
+def _cell_log_paths(base: str, count: int) -> list:
+    """One chain file per cell: a chain log holds exactly one run."""
     path = Path(base)
     if count == 1:
-        return path
-    return path.with_name(f"{path.stem}-{index}{path.suffix}")
+        return [path]
+    return [path.with_name(f"{path.stem}-{index}{path.suffix}") for index in range(count)]
 
 
 def cmd_bench(args) -> int:
@@ -104,16 +107,19 @@ def cmd_bench(args) -> int:
     except (ConfigError, bench_mod.WorkloadError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    paths = [None] * len(specs)
+    if args.log_file:
+        paths = _cell_log_paths(args.log_file, len(specs))
+    for path in filter(None, paths):
+        if not path.parent.is_dir():
+            print(f"error: {path.parent} is not a directory", file=sys.stderr)
+            return 2
+        if path.exists() and path.stat().st_size > 0:
+            print(f"error: {path} already holds a chain", file=sys.stderr)
+            return 2
     results = []
-    for index, spec in enumerate(specs):
-        log_store = None
-        if args.log_file:
-            # one file per cell: a chain log holds exactly one run
-            path = _cell_log_path(args.log_file, index, len(specs))
-            if path.exists() and path.stat().st_size > 0:
-                print(f"error: {path} already holds a chain", file=sys.stderr)
-                return 2
-            log_store = FileLogStore(path)
+    for spec, path in zip(specs, paths):
+        log_store = FileLogStore(path) if path is not None else None
         try:
             result = bench_mod.run_bench(
                 spec,

@@ -26,8 +26,14 @@ from consentledger.keys import (
     iws_key,
     rows_key,
     rws_key,
+    validate_token,
 )
-from consentledger.transactions import AccessGrantRecord, PayloadKind, TransactionPayload
+from consentledger.transactions import (
+    AccessGrantRecord,
+    PayloadKind,
+    TransactionPayload,
+    access_coordinates,
+)
 from consentledger.worldstate import SimulationContext
 
 
@@ -67,19 +73,17 @@ def _update_role(ctx: SimulationContext, payload: TransactionPayload) -> None:
 
 def _access_request(ctx: SimulationContext, payload: TransactionPayload,
                     design: WorldStateDesign, roster) -> AccessGrantRecord:
+    # the role key checks the other three tokens; these two only reach
+    # consent keys, where a separator would add a segment unnoticed
+    validate_token(payload.res_id, "res_id")
+    validate_token(payload.time_id, "time_id")
     role_key = encode_role_key(payload.role_id, payload.dc_id, payload.wd_id)
     marker = ctx.get_value(role_key)
     if marker is not None and not isinstance(marker, str):
         raise ContractError(f"key {role_key!r} holds a member set, expected a marker")
-    base = dict(
-        dc_id=payload.dc_id,
-        role_id=payload.role_id,
-        wd_id=payload.wd_id,
-        res_id=payload.res_id,
-        time_id=payload.time_id,
-    )
+    coordinates = access_coordinates(payload)
     if marker != ROLE_ASSIGNED:
-        return AccessGrantRecord(granted=False, consenting_individuals=(), **base)
+        return AccessGrantRecord(*coordinates, granted=False)
     consenting: list = []
     if design is WorldStateDesign.IWS:
         key = iws_key(payload.res_id, payload.wd_id, payload.role_id, payload.time_id)
@@ -94,9 +98,7 @@ def _access_request(ctx: SimulationContext, payload: TransactionPayload,
             key = rows_key(payload.res_id, ind_id, payload.wd_id, payload.time_id)
             if payload.role_id in _member_set(ctx, key):
                 consenting.append(ind_id)
-    return AccessGrantRecord(
-        granted=True, consenting_individuals=tuple(sorted(consenting)), **base
-    )
+    return AccessGrantRecord(*coordinates, True, tuple(sorted(consenting)))
 
 
 def execute_payload(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from consentledger import wire
@@ -50,17 +50,12 @@ class PreloadSpec:
     value_space: int
 
     def validate(self) -> "PreloadSpec":
-        for name in (
-            "n_individuals",
-            "n_resources",
-            "n_roles",
-            "n_watchdogs",
-            "n_timeframes",
-        ):
-            if getattr(self, name) < 1:
-                raise PreloadError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.key_space < 0 or self.value_space < 0:
-            raise PreloadError("key_space and value_space must be >= 0")
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            # every pool needs a member; the key and value spaces may be empty
+            floor = 0 if name in ("key_space", "value_space") else 1
+            if value < floor:
+                raise PreloadError(f"{name} must be >= {floor}, got {value}")
         if self.key_space > self.grid_size():
             raise PreloadError(
                 f"key_space {self.key_space} exceeds the coordinate grid "
@@ -143,18 +138,8 @@ class PreloadSpec:
             yield key, members
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            (
-                wire.pack_str(self.design.value),
-                wire.pack_u64(self.n_individuals),
-                wire.pack_u64(self.n_resources),
-                wire.pack_u64(self.n_roles),
-                wire.pack_u64(self.n_watchdogs),
-                wire.pack_u64(self.n_timeframes),
-                wire.pack_u64(self.key_space),
-                wire.pack_u64(self.value_space),
-            )
-        )
+        counts = [wire.pack_u64(getattr(self, name)) for name in COUNT_FIELDS]
+        return wire.pack_str(self.design.value) + b"".join(counts)
 
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "PreloadSpec":
@@ -164,16 +149,11 @@ class PreloadSpec:
             # parse() also accepts "IWS", which reserializes as "iws": the
             # hash check over reserialized bytes would miss the changed byte
             raise KeyCodecError(f"non-canonical design {text!r}")
-        return cls(
-            design=design,
-            n_individuals=reader.take_u64(),
-            n_resources=reader.take_u64(),
-            n_roles=reader.take_u64(),
-            n_watchdogs=reader.take_u64(),
-            n_timeframes=reader.take_u64(),
-            key_space=reader.take_u64(),
-            value_space=reader.take_u64(),
-        ).validate()
+        return cls(design, *[reader.take_u64() for _ in COUNT_FIELDS]).validate()
+
+
+# the seven counts after the design, in field and wire order
+COUNT_FIELDS = tuple(f.name for f in fields(PreloadSpec))[1:]
 
 
 def apply_preload(state, spec: PreloadSpec) -> int:

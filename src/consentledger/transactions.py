@@ -7,7 +7,8 @@ state-init carries a PreloadSpec so bulk-loaded states stay replayable
 from the chain.
 
 Wire layout of a payload: u8 kind, actor string, then the kind's fields
-in fixed order (see `TransactionPayload.to_bytes`). An endorsed transaction adds
+in the order `PAYLOAD_FIELDS` lists them; the fields that are not plain
+strings carry their own codec. An endorsed transaction adds
 tx id, captured read-write set, endorser ids, a deterministic endorsement
 stub (SHA-256 over payload, rwset, and endorser ids; stands in for
 signatures, which are out of scope here), and the access decision when
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 from consentledger import wire
 from consentledger.keys import ConsentFact, KeyCodecError
 from consentledger.preload import PreloadError, PreloadSpec
-from consentledger.worldstate import ReadWriteSet, value_from_reader, value_to_bytes
+from consentledger.worldstate import ReadWriteSet, pack_writes, take_writes
 
 
 class PayloadKind(enum.Enum):
@@ -58,6 +60,67 @@ class PayloadKind(enum.Enum):
 CONSENT_KINDS = (PayloadKind.GRANT_CONSENT, PayloadKind.REVOKE_CONSENT)
 ROLE_KINDS = (PayloadKind.ASSIGN_ROLE, PayloadKind.REVOKE_ROLE)
 
+# the coordinates of an access request, in wire order. An AccessGrantRecord
+# starts with the same fields, so access_coordinates(payload) builds one
+# positionally
+ACCESS_FIELDS = ("dc_id", "role_id", "wd_id", "res_id", "time_id")
+access_coordinates = operator.attrgetter(*ACCESS_FIELDS)
+_ROLE_FIELDS = ("role_id", "dc_id", "wd_id")
+# a consent fact goes on the wire in ConsentFact's field order
+_FACT_FIELDS = tuple(f.name for f in fields(ConsentFact))
+_fact_values = operator.attrgetter(*_FACT_FIELDS)
+
+# the fields each payload kind carries after its kind code and actor, in
+# wire order
+PAYLOAD_FIELDS = {
+    PayloadKind.GRANT_CONSENT: ("fact",),
+    PayloadKind.REVOKE_CONSENT: ("fact",),
+    PayloadKind.ASSIGN_ROLE: _ROLE_FIELDS,
+    PayloadKind.REVOKE_ROLE: _ROLE_FIELDS,
+    PayloadKind.ACCESS_REQUEST: ACCESS_FIELDS,
+    PayloadKind.RAW_READ: ("read_keys",),
+    PayloadKind.RAW_WRITE: ("write_items",),
+    PayloadKind.STATE_INIT: ("init_spec",),
+}
+
+
+def _pack_fact(fact: ConsentFact) -> bytes:
+    return b"".join(map(wire.pack_str, _fact_values(fact)))
+
+
+def _take_fact(reader: wire.Reader) -> ConsentFact:
+    return ConsentFact(*[reader.take_str() for _ in _FACT_FIELDS])
+
+
+def _pack_spec(spec: PreloadSpec) -> bytes:
+    return wire.pack_chunk(spec.to_bytes())
+
+
+def _take_spec(reader: wire.Reader) -> PreloadSpec:
+    try:
+        return wire.decode_exact(reader.take_chunk(), PreloadSpec.from_reader)
+    except (KeyCodecError, PreloadError) as exc:
+        raise wire.WireError(f"bad state-init spec: {exc}") from exc
+
+
+# (encode, decode) of every field that is not a plain string
+_FIELD_CODECS = {
+    "fact": (_pack_fact, _take_fact),
+    "read_keys": (wire.pack_strs, wire.Reader.take_strs),
+    "write_items": (pack_writes, take_writes),
+    "init_spec": (_pack_spec, _take_spec),
+}
+_STR_CODEC = (wire.pack_str, wire.Reader.take_str)
+# kind -> (its code byte, (name, encode, decode) per field in wire order)
+_LAYOUTS = {
+    kind: (
+        wire.pack_u8(kind.value),
+        tuple((name, *_FIELD_CODECS.get(name, _STR_CODEC)) for name in names),
+    )
+    for kind, names in PAYLOAD_FIELDS.items()
+}
+_KINDS_BY_CODE = {kind.value: kind for kind in PayloadKind}
+
 
 @dataclass(frozen=True)
 class TransactionPayload:
@@ -74,103 +137,26 @@ class TransactionPayload:
     init_spec: PreloadSpec | None = None
 
     def to_bytes(self) -> bytes:
-        out = [wire.pack_u8(self.kind.value), wire.pack_str(self.actor)]
-        if self.kind in CONSENT_KINDS:
-            f = self.fact
-            if f is None:
-                raise ValueError(f"{self.kind.label} payload needs a fact")
-            out += [
-                wire.pack_str(f.ind_id),
-                wire.pack_str(f.res_id),
-                wire.pack_str(f.role_id),
-                wire.pack_str(f.wd_id),
-                wire.pack_str(f.time_id),
-            ]
-        elif self.kind in ROLE_KINDS:
-            out += [
-                wire.pack_str(self.role_id),
-                wire.pack_str(self.dc_id),
-                wire.pack_str(self.wd_id),
-            ]
-        elif self.kind is PayloadKind.ACCESS_REQUEST:
-            out += [
-                wire.pack_str(self.dc_id),
-                wire.pack_str(self.role_id),
-                wire.pack_str(self.wd_id),
-                wire.pack_str(self.res_id),
-                wire.pack_str(self.time_id),
-            ]
-        elif self.kind is PayloadKind.RAW_READ:
-            out.append(wire.pack_u32(len(self.read_keys)))
-            out += [wire.pack_str(k) for k in self.read_keys]
-        elif self.kind is PayloadKind.RAW_WRITE:
-            out.append(wire.pack_u32(len(self.write_items)))
-            for key, value in self.write_items:
-                out.append(wire.pack_str(key))
-                out.append(wire.pack_chunk(value_to_bytes(value)))
-        elif self.kind is PayloadKind.STATE_INIT:
-            if self.init_spec is None:
-                raise ValueError("state_init payload needs a PreloadSpec")
-            out.append(wire.pack_chunk(self.init_spec.to_bytes()))
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unhandled kind {self.kind}")
+        code, layout = _LAYOUTS[self.kind]
+        out = [code, wire.pack_str(self.actor)]
+        for name, pack, _ in layout:
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.kind.label} payload needs {name}")
+            out.append(pack(value))
         return b"".join(out)
 
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "TransactionPayload":
         code = reader.take_u8()
-        try:
-            kind = PayloadKind(code)
-        except ValueError:
+        kind = _KINDS_BY_CODE.get(code)
+        if kind is None:
             raise wire.WireError(f"unknown payload kind code {code}")
         actor = reader.take_str()
-        if kind in CONSENT_KINDS:
-            fact = ConsentFact(
-                ind_id=reader.take_str(),
-                res_id=reader.take_str(),
-                role_id=reader.take_str(),
-                wd_id=reader.take_str(),
-                time_id=reader.take_str(),
-            )
-            return cls(kind=kind, actor=actor, fact=fact)
-        if kind in ROLE_KINDS:
-            return cls(
-                kind=kind,
-                actor=actor,
-                role_id=reader.take_str(),
-                dc_id=reader.take_str(),
-                wd_id=reader.take_str(),
-            )
-        if kind is PayloadKind.ACCESS_REQUEST:
-            return cls(
-                kind=kind,
-                actor=actor,
-                dc_id=reader.take_str(),
-                role_id=reader.take_str(),
-                wd_id=reader.take_str(),
-                res_id=reader.take_str(),
-                time_id=reader.take_str(),
-            )
-        if kind is PayloadKind.RAW_READ:
-            count = reader.take_u32()
-            keys = tuple(reader.take_str() for _ in range(count))
-            return cls(kind=kind, actor=actor, read_keys=keys)
-        if kind is PayloadKind.RAW_WRITE:
-            count = reader.take_u32()
-            items = []
-            for _ in range(count):
-                key = reader.take_str()
-                sub = wire.Reader(reader.take_chunk())
-                items.append((key, value_from_reader(sub)))
-                sub.expect_end()
-            return cls(kind=kind, actor=actor, write_items=tuple(items))
-        sub = wire.Reader(reader.take_chunk())
-        try:
-            spec = PreloadSpec.from_reader(sub)
-        except (KeyCodecError, PreloadError) as exc:
-            raise wire.WireError(f"bad state-init spec: {exc}") from exc
-        sub.expect_end()
-        return cls(kind=kind, actor=actor, init_spec=spec)
+        values = {}
+        for name, _, take in _LAYOUTS[kind][1]:
+            values[name] = take(reader)
+        return cls(kind, actor, **values)
 
 
 def grant_consent(actor: str, fact: ConsentFact) -> TransactionPayload:
@@ -234,37 +220,15 @@ class AccessGrantRecord:
     consenting_individuals: tuple = ()
 
     def to_bytes(self) -> bytes:
-        out = [
-            wire.pack_str(self.dc_id),
-            wire.pack_str(self.role_id),
-            wire.pack_str(self.wd_id),
-            wire.pack_str(self.res_id),
-            wire.pack_str(self.time_id),
-            wire.pack_u8(1 if self.granted else 0),
-            wire.pack_u32(len(self.consenting_individuals)),
-        ]
-        out += [wire.pack_str(i) for i in self.consenting_individuals]
+        out = [wire.pack_str(value) for value in access_coordinates(self)]
+        out.append(wire.pack_u8(1 if self.granted else 0))
+        out.append(wire.pack_strs(self.consenting_individuals))
         return b"".join(out)
 
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "AccessGrantRecord":
-        dc_id = reader.take_str()
-        role_id = reader.take_str()
-        wd_id = reader.take_str()
-        res_id = reader.take_str()
-        time_id = reader.take_str()
-        granted = reader.take_flag()
-        count = reader.take_u32()
-        members = tuple(reader.take_str() for _ in range(count))
-        return cls(
-            dc_id=dc_id,
-            role_id=role_id,
-            wd_id=wd_id,
-            res_id=res_id,
-            time_id=time_id,
-            granted=granted,
-            consenting_individuals=members,
-        )
+        coordinates = [reader.take_str() for _ in ACCESS_FIELDS]
+        return cls(*coordinates, reader.take_flag(), reader.take_strs())
 
 
 @dataclass(frozen=True)
@@ -302,10 +266,9 @@ class EndorsedTransaction:
             wire.pack_str(self.tx_id),
             wire.pack_chunk(self.payload.to_bytes()),
             wire.pack_chunk(self.rwset.to_bytes()),
-            wire.pack_u32(len(self.endorser_ids)),
+            wire.pack_strs(self.endorser_ids),
+            wire.pack_str(self.endorsement_stub),
         ]
-        out += [wire.pack_str(e) for e in self.endorser_ids]
-        out.append(wire.pack_str(self.endorsement_stub))
         if self.result is None:
             out.append(wire.pack_u8(0))
         else:
@@ -317,21 +280,14 @@ class EndorsedTransaction:
     def from_reader(cls, reader: wire.Reader) -> "EndorsedTransaction":
         tx_id = reader.take_str()
         payload_bytes = reader.take_chunk()
-        sub = wire.Reader(payload_bytes)
-        payload = TransactionPayload.from_reader(sub)
-        sub.expect_end()
+        payload = wire.decode_exact(payload_bytes, TransactionPayload.from_reader)
         rwset_bytes = reader.take_chunk()
-        sub = wire.Reader(rwset_bytes)
-        rwset = ReadWriteSet.from_reader(sub)
-        sub.expect_end()
-        n = reader.take_u32()
-        endorsers = tuple(reader.take_str() for _ in range(n))
+        rwset = wire.decode_exact(rwset_bytes, ReadWriteSet.from_reader)
+        endorsers = reader.take_strs()
         stub = reader.take_str()
         result = None
         if reader.take_flag():
-            sub = wire.Reader(reader.take_chunk())
-            result = AccessGrantRecord.from_reader(sub)
-            sub.expect_end()
+            result = wire.decode_exact(reader.take_chunk(), AccessGrantRecord.from_reader)
         tx = cls(
             tx_id=tx_id,
             payload=payload,

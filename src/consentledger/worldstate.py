@@ -33,10 +33,7 @@ def value_to_bytes(value: Value) -> bytes:
     if isinstance(value, str):
         return wire.pack_u8(_TAG_MARKER) + wire.pack_str(value)
     if isinstance(value, frozenset):
-        out = [wire.pack_u8(_TAG_MEMBERS), wire.pack_u32(len(value))]
-        for member in sorted(value):
-            out.append(wire.pack_str(member))
-        return b"".join(out)
+        return wire.pack_u8(_TAG_MEMBERS) + wire.pack_strs(sorted(value))
     raise TypeError(f"unsupported value type {type(value).__name__}")
 
 
@@ -45,8 +42,7 @@ def value_from_reader(reader: wire.Reader) -> Value:
     if tag == _TAG_MARKER:
         return reader.take_str()
     if tag == _TAG_MEMBERS:
-        count = reader.take_u32()
-        members = [reader.take_str() for _ in range(count)]
+        members = reader.take_strs()
         # value_to_bytes writes members sorted and distinct; any other
         # order would re-encode differently from the bytes that were read
         # and hashed
@@ -54,6 +50,23 @@ def value_from_reader(reader: wire.Reader) -> Value:
             raise wire.WireError("value members must be sorted and distinct")
         return frozenset(members)
     raise wire.WireError(f"unknown value tag 0x{tag:02x}")
+
+
+def pack_writes(writes) -> bytes:
+    """A u32 count, then per write its key and its value bytes as a chunk."""
+    out = [wire.pack_u32(len(writes))]
+    for key, value in writes:
+        out += (wire.pack_str(key), wire.pack_chunk(value_to_bytes(value)))
+    return b"".join(out)
+
+
+def take_writes(reader: wire.Reader) -> tuple:
+    """The (key, value) pairs written by `pack_writes`."""
+    writes = []
+    for _ in range(reader.take_u32()):
+        key = reader.take_str()
+        writes.append((key, wire.decode_exact(reader.take_chunk(), value_from_reader)))
+    return tuple(writes)
 
 
 @dataclass(frozen=True)
@@ -92,25 +105,14 @@ class ReadWriteSet:
         for key, version in self.reads:
             out.append(wire.pack_str(key))
             out.append(wire.pack_u64(version))
-        out.append(wire.pack_u32(len(self.writes)))
-        for key, value in self.writes:
-            out.append(wire.pack_str(key))
-            out.append(wire.pack_chunk(value_to_bytes(value)))
+        out.append(pack_writes(self.writes))
         return b"".join(out)
 
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "ReadWriteSet":
         n_reads = reader.take_u32()
         reads = tuple((reader.take_str(), reader.take_u64()) for _ in range(n_reads))
-        n_writes = reader.take_u32()
-        writes = []
-        for _ in range(n_writes):
-            key = reader.take_str()
-            sub = wire.Reader(reader.take_chunk())
-            value = value_from_reader(sub)
-            sub.expect_end()
-            writes.append((key, value))
-        return cls(reads=reads, writes=tuple(writes))
+        return cls(reads=reads, writes=take_writes(reader))
 
 
 class VersionedWorldState:

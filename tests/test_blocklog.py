@@ -320,3 +320,46 @@ def test_parsed_stub_memo_comes_from_the_bytes_read():
     # a copy with other fields carries no memo and is checked from scratch
     assert not verify_endorsement(replace(parsed[0], endorser_ids=("e1",)), 1)
     assert verify_endorsement(replace(parsed[1], endorsement_stub=good.endorsement_stub), 1)
+
+
+def _fuzzed(rng: random.Random, record: bytes) -> bytes:
+    """record with random bytes, a rewritten length field, or a cut or splice."""
+    data = bytearray(record)
+    roll = rng.random()
+    if roll < 0.4:
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+    elif roll < 0.8:
+        # a u32 that fits in what follows it is likely a count or a length
+        offsets = [
+            i for i in range(len(data) - 3)
+            if 0 < int.from_bytes(data[i : i + 4], "big") <= len(data) - i - 4
+        ]
+        at = rng.choice(offsets)
+        old = int.from_bytes(data[at : at + 4], "big")
+        new = rng.choice((0, old - 1, old + 1, 2 * old, rng.randrange(len(data)), 2**32 - 1))
+        data[at : at + 4] = new.to_bytes(4, "big")
+    elif roll < 0.9:
+        del data[rng.randrange(len(data)) :]
+    else:
+        at = rng.randrange(len(data))
+        data[at:at] = rng.randbytes(rng.randint(1, 8))
+    return bytes(data)
+
+
+def test_parse_block_fuzz_raises_only_wire_errors():
+    store = MemoryLogStore()
+    commit_block(VersionedWorldState(), BlockLog(store), [_init_tx()], policy_m=1)
+    records = _mixed_chain()[1:] + list(store)[1:]
+    rng = random.Random(2014)
+    parsed = 0
+    for _ in range(3_000):
+        mutated = _fuzzed(rng, rng.choice(records))
+        try:
+            block = parse_block(mutated)
+        except wire.WireError:
+            continue
+        parsed += 1
+        assert serialize_block(block) == mutated
+    # the fuzz also reaches the decoders past the first broken field
+    assert parsed > 0

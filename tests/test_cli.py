@@ -199,6 +199,7 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
         ["bench", "conflict", "--config", "{missing}"],
         ["bench", "conflict", "--config", "{unbounded}"],
         ["bench", "conflict", "--config", "{policy}", "--endorsers", "5"],
+        ["bench", "conflict", "--log-file", "{missing}/chain.log"],
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, args):
@@ -218,4 +219,8 @@ def test_bad_inputs_exit_2(tmp_path, capsys, args):
     if argv[0] == "replay":
         argv += ["--log", str(log_path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    # refused before any cell runs, and no file is made
+    assert out == ""
+    assert not paths["missing"].exists()

@@ -120,6 +120,28 @@ def test_endorsement_does_not_touch_state():
     assert ledger.log.height == 0
 
 
+@pytest.mark.parametrize("design", list(WorldStateDesign))
+def test_malformed_access_tokens_rejected(design):
+    # res_id and time_id reach only consent keys; a separator in one used to
+    # add a key segment and commit an empty grant
+    ledger = SyncLedger(design, population_registry(4))
+    ledger.bootstrap(None, [assign_role("w0", "d0", "c0", "w0")])
+    receipts = ledger.submit_batch(
+        [
+            access_request("c0", "c0", "d0", "w0", "r|x", "t0"),
+            access_request("c0", "c0", "d0", "w0", "r 1", "t0"),
+            access_request("c0", "c0", "d0", "w0", "r0", "t|0"),
+            access_request("c0", "c0", "d0", "w0", "r0", "t0"),
+        ]
+    )
+    assert [r.status for r in receipts] == [Status.REJECTED] * 3 + [Status.COMMITTED]
+    assert [r.reason.split(" ")[:3] for r in receipts[:3]] == [
+        ["contract:", "invalid", "res_id"],
+        ["contract:", "invalid", "res_id"],
+        ["contract:", "invalid", "time_id"],
+    ]
+
+
 def test_sync_same_key_writers_take_one_block_each():
     registry = population_registry(8)
     for k in (2, 5):
@@ -297,18 +319,21 @@ def test_threaded_rejection_leaves_no_gap():
 
 def test_threaded_overload_cancels_and_accounts():
     # rws access requests scan every individual's consent key, so the one
-    # endorser falls behind two clients and the tiny queue stays full
-    registry = population_registry(2_000)
+    # endorser falls behind two clients and the tiny queue stays full. The
+    # roster makes each endorsement several 5 ms GIL switch intervals long:
+    # a blocked client then refills the queue after every pop, before the
+    # endorser can pop twice and take it below the monitor's threshold
+    registry = population_registry(8_000)
     cfg = PipelineConfig(submission_depth=4, overload_window_s=0.2)
     harness = LedgerHarness(WorldStateDesign.RWS, registry, cfg)
     spec = PreloadSpec(
         design=WorldStateDesign.RWS,
-        n_individuals=2_000,
+        n_individuals=8_000,
         n_resources=20,
         n_roles=1,
         n_watchdogs=1,
         n_timeframes=1,
-        key_space=2_000,
+        key_space=8_000,
         value_space=20,
     )
     harness.bootstrap(spec, [assign_role("w0", "d0", "c0", "w0")])

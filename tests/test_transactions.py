@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from consentledger import wire
 from consentledger.keys import ConsentFact, WorldStateDesign
@@ -65,6 +67,8 @@ def test_payload_requires_fact_for_consent():
     broken = TransactionPayload(kind=PayloadKind.GRANT_CONSENT, actor="i1")
     with pytest.raises(ValueError):
         broken.to_bytes()
+    with pytest.raises(ValueError):
+        TransactionPayload(kind=PayloadKind.STATE_INIT, actor="w1").to_bytes()
 
 
 def test_access_record_roundtrip():
@@ -178,3 +182,84 @@ def test_stub_changes_with_inputs():
 def test_unknown_kind_code_rejected():
     with pytest.raises(wire.WireError):
         TransactionPayload.from_reader(wire.Reader(bytes([99]) + wire.pack_str("a")))
+
+
+def test_take_strs_rejects_bad_lists():
+    two = wire.pack_str("a") + wire.pack_str("b")
+    assert wire.Reader(wire.pack_u32(2) + two).take_strs() == ("a", "b")
+    # a count larger than the strings that follow
+    with pytest.raises(wire.WireError):
+        wire.Reader(wire.pack_u32(3) + two).take_strs()
+    # a string length past the end, and bytes that are not UTF-8
+    with pytest.raises(wire.WireError):
+        wire.Reader(wire.pack_u32(1) + wire.pack_u32(9) + b"abc").take_strs()
+    with pytest.raises(wire.WireError):
+        wire.Reader(wire.pack_u32(1) + wire.pack_chunk(b"\xff")).take_strs()
+
+
+TOKENS = st.from_regex(r"[A-Za-z0-9_-]{1,6}", fullmatch=True)
+KEYS = st.lists(TOKENS, min_size=3, max_size=4).map("|".join)
+VALUES = st.one_of(st.frozensets(TOKENS, max_size=5), TOKENS)
+
+
+@st.composite
+def _preload_specs(draw):
+    counts = [draw(st.integers(1, 4)) for _ in range(5)]
+    spec = PreloadSpec(draw(st.sampled_from(WorldStateDesign)), *counts, 0, 0)
+    return replace(
+        spec,
+        key_space=draw(st.integers(0, spec.grid_size())),
+        value_space=draw(st.integers(0, spec.member_pool_size())),
+    )
+
+
+FACTS = st.builds(ConsentFact, TOKENS, TOKENS, TOKENS, TOKENS, TOKENS)
+PAYLOADS = {
+    PayloadKind.GRANT_CONSENT: st.builds(grant_consent, TOKENS, FACTS),
+    PayloadKind.REVOKE_CONSENT: st.builds(revoke_consent, TOKENS, FACTS),
+    PayloadKind.ASSIGN_ROLE: st.builds(assign_role, TOKENS, TOKENS, TOKENS, TOKENS),
+    PayloadKind.REVOKE_ROLE: st.builds(revoke_role, TOKENS, TOKENS, TOKENS, TOKENS),
+    PayloadKind.ACCESS_REQUEST: st.builds(access_request, TOKENS, *[TOKENS] * 5),
+    PayloadKind.RAW_READ: st.builds(raw_read, TOKENS, st.lists(KEYS, max_size=6)),
+    PayloadKind.RAW_WRITE: st.builds(
+        raw_write, TOKENS, st.lists(st.tuples(KEYS, VALUES), max_size=4)
+    ),
+    PayloadKind.STATE_INIT: st.builds(state_init, TOKENS, _preload_specs()),
+}
+ANY_PAYLOAD = st.sampled_from(PayloadKind).flatmap(PAYLOADS.__getitem__)
+
+
+@given(ANY_PAYLOAD)
+def test_payload_codec_roundtrips_and_is_canonical(payload):
+    data = payload.to_bytes()
+    back = _roundtrip_payload(payload)
+    assert back == payload
+    assert back.to_bytes() == data
+
+
+@given(
+    ANY_PAYLOAD,
+    st.lists(st.tuples(KEYS, st.integers(0, 2**64 - 1)), max_size=4),
+    st.lists(st.tuples(KEYS, VALUES), max_size=4),
+    st.lists(TOKENS, max_size=4),
+    st.none() | st.builds(
+        AccessGrantRecord, *[TOKENS] * 5, st.booleans(), st.lists(TOKENS).map(tuple)
+    ),
+)
+def test_endorsed_tx_codec_roundtrips_and_is_canonical(payload, reads, writes, endorsers, result):
+    rws = ReadWriteSet(reads=tuple(reads), writes=tuple(writes))
+    tx = EndorsedTransaction(
+        tx_id="tx-1",
+        payload=payload,
+        rwset=rws,
+        endorser_ids=tuple(endorsers),
+        endorsement_stub=endorsement_stub(payload, rws, endorsers),
+        result=result,
+    )
+    data = tx.to_bytes()
+    reader = wire.Reader(data)
+    back = EndorsedTransaction.from_reader(reader)
+    reader.expect_end()
+    assert back == tx
+    assert back.to_bytes() == data
+    assert verify_endorsement(back, len(set(endorsers)))
