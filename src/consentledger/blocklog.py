@@ -21,11 +21,15 @@ are dense from 0 (the genesis block, which carries no transactions).
 Each record is encoded once and parsed once. `make_block` encodes every
 transaction once, straight into the record while hashing the chunks into
 payload_hash, and keeps that record on the block until `BlockLog`
-appends it; `serialize_block` returns it. `parse_block` hashes the tx
-chunks exactly as it read them, so `verified_blocks` (and `verify_chain`
-through it) checks payload_hash against the bytes in the record and
-never re-encodes. Decoding is canonical, so those bytes are also what
-re-encoding the parsed transactions would give. Both memos stay off the
+appends it; `serialize_block` returns it. An endorsed transaction's
+payload and read-write set are not encoded again here: it carries the
+bytes its endorser encoded and hashed into the stub, and `to_bytes`
+packs those (see `transactions`), so a committed read-write set is
+encoded once in all. `parse_block` hashes the tx chunks exactly as it
+read them, so `verified_blocks` (and `verify_chain` through it) checks
+payload_hash against the bytes in the record and never re-encodes.
+Decoding is canonical, so those bytes are also what re-encoding the
+parsed transactions would give. Both block memos stay off the
 wire and out of equality, and a `dataclasses.replace` copy of a block
 carries neither.
 

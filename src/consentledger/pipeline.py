@@ -329,7 +329,10 @@ def co_endorse(
         raise EndorsementRejected(f"authorization: {exc.reason}")
     rwset, result = simulate_payload(state, payload, design, roster)
     endorser_ids = tuple(endorser_ids)
-    stub = endorsement_stub(payload, rwset, endorser_ids)
+    # encoded once: the stub hashes these bytes and the block record
+    # reuses them
+    payload_bytes, rwset_bytes = payload.to_bytes(), rwset.to_bytes()
+    stub = endorsement_stub(payload_bytes, rwset_bytes, endorser_ids)
     tx = EndorsedTransaction(
         tx_id=pending.tx_id,
         payload=payload,
@@ -341,9 +344,9 @@ def co_endorse(
         seq=pending.seq,
         retry_count=pending.retry_count,
     )
-    # the committer's endorsement check reuses this stub instead of
-    # re-encoding the read-write set
-    return tx.memoize_stub(stub)
+    # the committer's endorsement check reuses this stub, and make_block
+    # these bytes, instead of encoding the payload and read-write set again
+    return tx.memoize_stub(stub, payload_bytes, rwset_bytes)
 
 
 def _endorser_ring(endorser_ids, start: int, m: int):

@@ -14,19 +14,29 @@ stub (SHA-256 over payload, rwset, and endorser ids; stands in for
 signatures, which are out of scope here), and the access decision when
 the operation produced one.
 
-Stub memo: checking an endorsement means recomputing the stub, which
-hashes the whole encoded read-write set. Each EndorsedTransaction may
-therefore carry a private memo of that recomputation, a 64-character hex
-digest and never encoded bytes. Two places set it, each from exactly the
-bytes the stub covers: the endorser (`memoize_stub`, with the stub it
-has just computed from the transaction's fields) and `from_reader` (from
-the raw payload and rwset chunks it read). `verify_endorsement` trusts
-the memo and recomputes only when there is none. The memo is a pure
-function of the frozen payload, rwset and endorser ids, so it is not an
-init field: a `dataclasses.replace` copy carries none and is checked
-from scratch. Decoding is canonical (every accepted chunk re-encodes to
-the same bytes), so a memo taken from read bytes equals one recomputed
-from the decoded fields.
+Memos: checking an endorsement means recomputing the stub, which hashes
+the encoded payload and the whole encoded read-write set, and sealing a
+block means encoding both again. Each EndorsedTransaction may therefore
+carry private memos, all set through `memoize_stub`:
+
+- The stub memo, a 64-character hex digest. The endorser sets it to the
+  stub it has just computed, and `from_reader` to the stub over the raw
+  payload and rwset chunks it read. `verify_endorsement` trusts it and
+  recomputes only when there is none.
+- The rwset and payload memos, encoded bytes. Only the endorser sets
+  them, to the bytes it has just encoded from the transaction's own
+  frozen rwset and payload and hashed into the stub; `to_bytes` packs
+  them, so a committed read-write set is encoded once. Parsed
+  transactions carry none, so replay holds no second copy of what it
+  read. The memos live as long as their transaction: the threaded engine
+  drops that once `settle` has turned the committer's verdict into a
+  receipt or a retry, and `SyncLedger` at the end of the round.
+
+Every memo is a pure function of the frozen payload, rwset and endorser
+ids, so none is an init field: a `dataclasses.replace` copy carries none
+and is checked and encoded from scratch. Decoding is canonical (every
+accepted chunk re-encodes to the same bytes), so a stub memo taken from
+read bytes equals one recomputed from the decoded fields.
 """
 
 from __future__ import annotations
@@ -248,24 +258,39 @@ class EndorsedTransaction:
     client_id: str = field(default="", compare=False)
     seq: int = field(default=0, compare=False)
     retry_count: int = field(default=0, compare=False)
-    # endorsement_stub recomputed from payload, rwset and endorser_ids;
-    # see the module docstring for when it is set and trusted
+    # the endorsement stub recomputed from payload, rwset and endorser_ids,
+    # and the encoded payload and rwset it covers; see the module docstring
+    # for who sets them
     _stub_memo: str | None = field(default=None, init=False, repr=False, compare=False)
+    _payload_memo: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _rwset_memo: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
-    def memoize_stub(self, stub: str) -> "EndorsedTransaction":
-        """Keep stub as this transaction's recomputed endorsement stub.
+    def memoize_stub(
+        self, stub: str, payload_bytes: bytes | None = None, rwset_bytes: bytes | None = None
+    ) -> "EndorsedTransaction":
+        """Keep stub as this transaction's recomputed endorsement stub, and
+        payload_bytes and rwset_bytes, when given, as its encoded payload
+        and read-write set.
 
-        Only for a stub just computed by `endorsement_stub` from this
-        transaction's own payload, rwset and endorser_ids. Returns self.
+        Only for a stub just computed from this transaction's own payload,
+        rwset and endorser_ids, and for bytes just encoded from its own
+        payload and rwset. Returns self.
         """
         object.__setattr__(self, "_stub_memo", stub)
+        object.__setattr__(self, "_payload_memo", payload_bytes)
+        object.__setattr__(self, "_rwset_memo", rwset_bytes)
         return self
 
     def to_bytes(self) -> bytes:
+        payload_bytes, rwset_bytes = self._payload_memo, self._rwset_memo
+        if payload_bytes is None:
+            payload_bytes = self.payload.to_bytes()
+        if rwset_bytes is None:
+            rwset_bytes = self.rwset.to_bytes()
         out = [
             wire.pack_str(self.tx_id),
-            wire.pack_chunk(self.payload.to_bytes()),
-            wire.pack_chunk(self.rwset.to_bytes()),
+            wire.pack_chunk(payload_bytes),
+            wire.pack_chunk(rwset_bytes),
             wire.pack_strs(self.endorser_ids),
             wire.pack_str(self.endorsement_stub),
         ]
@@ -296,22 +321,18 @@ class EndorsedTransaction:
             endorsement_stub=stub,
             result=result,
         )
-        return tx.memoize_stub(_stub_over(payload_bytes, rwset_bytes, endorsers))
+        return tx.memoize_stub(endorsement_stub(payload_bytes, rwset_bytes, endorsers))
 
 
-def _stub_over(payload_bytes: bytes, rwset_bytes: bytes, endorser_ids) -> str:
+def endorsement_stub(payload_bytes: bytes, rwset_bytes: bytes, endorser_ids) -> str:
+    """The stub over an encoded payload, an encoded read-write set and the
+    endorser ids."""
     h = hashlib.sha256(b"endorse-v1")
     wire.hash_chunk(h, payload_bytes)
     wire.hash_chunk(h, rwset_bytes)
     for endorser in endorser_ids:
         h.update(wire.pack_str(endorser))
     return h.hexdigest()
-
-
-def endorsement_stub(
-    payload: TransactionPayload, rwset: ReadWriteSet, endorser_ids
-) -> str:
-    return _stub_over(payload.to_bytes(), rwset.to_bytes(), endorser_ids)
 
 
 def verify_endorsement(tx: EndorsedTransaction, required: int) -> bool:
@@ -324,5 +345,7 @@ def verify_endorsement(tx: EndorsedTransaction, required: int) -> bool:
         return False
     expected = tx._stub_memo
     if expected is None:
-        expected = endorsement_stub(tx.payload, tx.rwset, tx.endorser_ids)
+        expected = endorsement_stub(
+            tx.payload.to_bytes(), tx.rwset.to_bytes(), tx.endorser_ids
+        )
     return tx.endorsement_stub == expected

@@ -88,31 +88,21 @@ class ReadWriteSet:
     writes: tuple = ()
     snapshot_writes: int | None = field(default=None, compare=False)
 
-    def read_keys(self) -> tuple:
-        return tuple(k for k, _ in self.reads)
-
-    def write_keys(self) -> tuple:
-        return tuple(k for k, _ in self.writes)
-
-    def touched_keys(self) -> frozenset:
-        return frozenset(self.read_keys()) | frozenset(self.write_keys())
-
     def touch_count(self) -> int:
-        return len(self.touched_keys())
+        """Distinct keys read or written."""
+        count = len(self.reads) + len(self.writes)
+        if self.writes:
+            # keys are distinct within each side: subtract the ones on both
+            read = dict(self.reads)
+            count -= sum(1 for key, _ in self.writes if key in read)
+        return count
 
     def to_bytes(self) -> bytes:
-        out = [wire.pack_u32(len(self.reads))]
-        for key, version in self.reads:
-            out.append(wire.pack_str(key))
-            out.append(wire.pack_u64(version))
-        out.append(pack_writes(self.writes))
-        return b"".join(out)
+        return wire.pack_str_u64s(self.reads) + pack_writes(self.writes)
 
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "ReadWriteSet":
-        n_reads = reader.take_u32()
-        reads = tuple((reader.take_str(), reader.take_u64()) for _ in range(n_reads))
-        return cls(reads=reads, writes=take_writes(reader))
+        return cls(reads=reader.take_str_u64s(), writes=take_writes(reader))
 
 
 class VersionedWorldState:
@@ -198,28 +188,44 @@ class SimulationContext:
     return the same observation without growing the read set. Reads of a
     key this transaction already staged return the staged value
     (read-your-writes) but still record the committed version underneath.
+
+    Every read probes the committed state once, and the version and the
+    value come from that one entry. Keys enter the state in three places,
+    and each checks the key grammar: `put` (the engine commits only write
+    sets its endorser staged here), the preload grid (its keys join
+    generated pool tokens) and state-init (which regenerates that grid).
+    A key found in the state has therefore passed `split_key` already, so
+    only the first read of an absent key runs it. A read that fails the
+    check records nothing, so a re-read fails again.
     """
 
     def __init__(self, state: VersionedWorldState):
-        self._state = state
+        # the state's own dict lookup: one probe per read, and no Python
+        # frame for it
+        self._probe = state._entries.get
         # captured before the first read so an unchanged count at commit
         # time proves every observed version is still current
         self._snapshot_writes = state.write_count
         self._reads: dict = {}
         self._writes: dict = {}
 
-    def get(self, key: str):
-        split_key(key)
-        if key not in self._reads:
-            self._reads[key] = self._state.version_of(key)
-        if key in self._writes:
-            return self._writes[key], self._reads[key]
-        entry = self._state.get(key)
-        return entry if entry is not None else None
-
     def get_value(self, key: str, default: Value = None):
-        entry = self.get(key)
-        return entry[0] if entry is not None else default
+        """The value this transaction sees at key, or default when absent."""
+        entry = self._probe(key)
+        if key not in self._reads:
+            if entry is None:
+                split_key(key)
+                self._reads[key] = ABSENT_VERSION
+            else:
+                self._reads[key] = entry[1]
+        if key in self._writes:
+            return self._writes[key]
+        return default if entry is None else entry[0]
+
+    def get(self, key: str):
+        """(value, committed version observed) or None when key is absent."""
+        value = self.get_value(key)
+        return None if value is None else (value, self._reads[key])
 
     def put(self, key: str, value: Value) -> None:
         split_key(key)

@@ -59,7 +59,7 @@ def _tx(tx_id: str, read_version: int, members) -> EndorsedTransaction:
         payload=payload,
         rwset=rws,
         endorser_ids=("e0",),
-        endorsement_stub=endorsement_stub(payload, rws, ("e0",)),
+        endorsement_stub=endorsement_stub(payload.to_bytes(), rws.to_bytes(), ("e0",)),
     )
 
 
@@ -258,7 +258,9 @@ def test_parse_reencodes_every_payload_kind():
         assert serialize_block(block) == record
         for tx in block.transactions:
             kinds.add(tx.payload.kind)
-            assert tx._stub_memo == endorsement_stub(tx.payload, tx.rwset, tx.endorser_ids)
+            assert tx._stub_memo == endorsement_stub(
+                tx.payload.to_bytes(), tx.rwset.to_bytes(), tx.endorser_ids
+            )
     assert kinds == set(PayloadKind) - {PayloadKind.STATE_INIT}
 
 

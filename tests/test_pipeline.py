@@ -6,10 +6,18 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consentledger import wire
 from consentledger.blocklog import BlockLog, verify_chain
-from consentledger.keys import ConsentFact, WorldStateDesign, encode_consent_key
+from consentledger.keys import (
+    ConsentFact,
+    KeyCodecError,
+    WorldStateDesign,
+    encode_consent_key,
+    split_key,
+)
 from consentledger.membership import population_registry
 from consentledger.pipeline import (
     ConfigError,
@@ -30,6 +38,7 @@ from consentledger.transactions import (
     revoke_consent,
     revoke_role,
 )
+from consentledger.worldstate import ReadWriteSet
 
 DESIGN = WorldStateDesign.IWS
 
@@ -458,3 +467,79 @@ def test_golden_sync_history(design, policy):
     assert any(r.reason.startswith("contract:") for r in receipts)
     assert any(r.reason == "conflict" and r.retry_count == 1 for r in receipts)
     assert digest == GOLDEN[(design.value, policy)]
+
+
+def _passes_grammar(key) -> bool:
+    try:
+        split_key(key)
+    except KeyCodecError:
+        return False
+    return True
+
+
+_IDS = {prefix: st.sampled_from([f"{prefix}{i}" for i in range(3)]) for prefix in "irdwc"}
+_FACTS = st.builds(ConsentFact, _IDS["i"], _IDS["r"], _IDS["d"], _IDS["w"], st.just("t0"))
+_ROLE_OPS = st.sampled_from([assign_role, revoke_role])
+_RAW_KEYS = st.one_of(
+    st.lists(st.sampled_from(["i0", "r1", "d0", "w0", "t0"]), min_size=1, max_size=4).map(
+        "|".join
+    ),
+    st.text(max_size=6),
+)
+_HISTORY_OPS = st.one_of(
+    st.builds(lambda f: grant_consent(f.ind_id, f), _FACTS),
+    st.builds(lambda f: revoke_consent(f.ind_id, f), _FACTS),
+    st.builds(lambda op, d, c, w: op(w, d, c, w), _ROLE_OPS, _IDS["d"], _IDS["c"], _IDS["w"]),
+    st.builds(
+        lambda c, d, w, r: access_request(c, c, d, w, r, "t0"),
+        _IDS["c"], _IDS["d"], _IDS["w"], _IDS["r"],
+    ),
+    st.builds(
+        lambda i, keys: raw_write(i, [(key, "assign") for key in keys]),
+        _IDS["i"], st.lists(_RAW_KEYS, min_size=1, max_size=3, unique=True),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(WorldStateDesign),
+    st.integers(0, 27),
+    st.lists(st.lists(_HISTORY_OPS, max_size=12), max_size=4),
+)
+def test_every_state_key_passes_the_grammar(design, key_space, batches):
+    """The invariant that lets a read skip split_key on a key it finds."""
+    registry = population_registry(3, n_watchdogs=3, n_consumers=3)
+    ledger = SyncLedger(design, registry, PipelineConfig(block_size=5))
+    ledger.bootstrap(PreloadSpec(design, 3, 3, 3, 3, 1, key_space, 2))
+    for batch in batches:
+        for payload, receipt in zip(batch, ledger.submit_batch(batch)):
+            if payload.write_items:
+                valid = all(_passes_grammar(key) for key, _ in payload.write_items)
+                assert (receipt.status is Status.REJECTED) == (not valid)
+    for key, _ in ledger.state.items():
+        split_key(key)
+
+
+def test_rwset_encoded_once_per_committed_tx(monkeypatch):
+    encodes = Counter()
+    to_bytes = ReadWriteSet.to_bytes
+
+    def counting(rws):
+        encodes[len(rws.reads)] += 1
+        return to_bytes(rws)
+
+    monkeypatch.setattr(ReadWriteSet, "to_bytes", counting)
+    registry = population_registry(5)
+    ledger = SyncLedger(WorldStateDesign.RWS, registry, PipelineConfig(block_size=3))
+    setup = [assign_role("w0", "d0", "c0", "w0")]
+    ledger.submit_batch(setup + [grant_consent(f.ind_id, f) for f in _facts(5, 5)])
+    encodes.clear()
+    payloads = [access_request("c0", "c0", "d0", "w0", "r1", "t0")] * 4
+    payloads.append(assign_role("w0", "d1", "c0", "w0"))
+    receipts = ledger.submit_batch(payloads)
+    assert [r.status for r in receipts] == [Status.COMMITTED] * 5
+    assert all(r.retry_count == 0 for r in receipts)
+    # one encode per transaction: an access request reads the role key and
+    # 5 consent keys, a role grant its role key
+    assert encodes == {6: 4, 1: 1}

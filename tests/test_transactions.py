@@ -98,7 +98,7 @@ def _sample_tx(rng: random.Random) -> EndorsedTransaction:
         payload=payload,
         rwset=rws,
         endorser_ids=endorsers,
-        endorsement_stub=endorsement_stub(payload, rws, endorsers),
+        endorsement_stub=endorsement_stub(payload.to_bytes(), rws.to_bytes(), endorsers),
         result=None,
     )
 
@@ -121,7 +121,7 @@ def test_endorsed_tx_roundtrip_with_result():
         payload=payload,
         rwset=rws,
         endorser_ids=("e0",),
-        endorsement_stub=endorsement_stub(payload, rws, ("e0",)),
+        endorsement_stub=endorsement_stub(payload.to_bytes(), rws.to_bytes(), ("e0",)),
         result=result,
     )
     reader = wire.Reader(tx.to_bytes())
@@ -163,7 +163,7 @@ def test_verify_endorsement_counts_distinct_endorsers():
         payload=payload,
         rwset=rws,
         endorser_ids=doubled,
-        endorsement_stub=endorsement_stub(payload, rws, doubled),
+        endorsement_stub=endorsement_stub(payload.to_bytes(), rws.to_bytes(), doubled),
     )
     assert verify_endorsement(tx, 1)
     assert not verify_endorsement(tx, 2)
@@ -172,11 +172,11 @@ def test_verify_endorsement_counts_distinct_endorsers():
 def test_stub_changes_with_inputs():
     payload = grant_consent("i1", FACT)
     rws = ReadWriteSet()
-    base = endorsement_stub(payload, rws, ("e0",))
-    assert base == endorsement_stub(payload, rws, ("e0",))
-    assert base != endorsement_stub(payload, rws, ("e1",))
+    base = endorsement_stub(payload.to_bytes(), rws.to_bytes(), ("e0",))
+    assert base == endorsement_stub(payload.to_bytes(), rws.to_bytes(), ("e0",))
+    assert base != endorsement_stub(payload.to_bytes(), rws.to_bytes(), ("e1",))
     other = ReadWriteSet(reads=(("r1|w1|d1|t1", 0),))
-    assert base != endorsement_stub(payload, other, ("e0",))
+    assert base != endorsement_stub(payload.to_bytes(), other.to_bytes(), ("e0",))
 
 
 def test_unknown_kind_code_rejected():
@@ -253,7 +253,7 @@ def test_endorsed_tx_codec_roundtrips_and_is_canonical(payload, reads, writes, e
         payload=payload,
         rwset=rws,
         endorser_ids=tuple(endorsers),
-        endorsement_stub=endorsement_stub(payload, rws, endorsers),
+        endorsement_stub=endorsement_stub(payload.to_bytes(), rws.to_bytes(), endorsers),
         result=result,
     )
     data = tx.to_bytes()
@@ -263,3 +263,74 @@ def test_endorsed_tx_codec_roundtrips_and_is_canonical(payload, reads, writes, e
     assert back == tx
     assert back.to_bytes() == data
     assert verify_endorsement(back, len(set(endorsers)))
+
+
+def _rwset_bytes_reader(data: bytes) -> ReadWriteSet:
+    return wire.decode_exact(data, ReadWriteSet.from_reader)
+
+
+def test_rwset_cut_at_every_offset_raises_only_wire_error():
+    rws = ReadWriteSet(
+        reads=(("i0|w0|d0|t0", 1), ("é|w0|d0|t0", 2**64 - 1), ("d0|c0|w0", 0)),
+        writes=(("i0|w0|d0|t0", frozenset({"r1", "r2"})), ("d0|c0|w0", "assign")),
+    )
+    data = rws.to_bytes()
+    assert _rwset_bytes_reader(data) == rws
+    for cut in range(len(data)):
+        with pytest.raises(wire.WireError):
+            _rwset_bytes_reader(data[:cut])
+
+
+def test_take_str_u64s_rejects_bad_lists():
+    two = wire.pack_str("a") + wire.pack_u64(1) + wire.pack_str("b") + wire.pack_u64(2)
+    assert wire.Reader(wire.pack_u32(2) + two).take_str_u64s() == (("a", 1), ("b", 2))
+    assert wire.pack_str_u64s((("a", 1), ("b", 2))) == wire.pack_u32(2) + two
+    # a pair count larger than the pairs that follow
+    with pytest.raises(wire.WireError):
+        wire.Reader(wire.pack_u32(3) + two).take_str_u64s()
+    # a key length past the end, and a version cut short
+    with pytest.raises(wire.WireError):
+        wire.Reader(wire.pack_u32(1) + wire.pack_u32(9) + b"abc").take_str_u64s()
+    with pytest.raises(wire.WireError):
+        wire.Reader(wire.pack_u32(1) + wire.pack_str("a") + bytes(7)).take_str_u64s()
+    # a key that is not UTF-8
+    with pytest.raises(wire.WireError):
+        wire.Reader(
+            wire.pack_u32(1) + wire.pack_chunk(b"\xff") + wire.pack_u64(1)
+        ).take_str_u64s()
+
+
+@given(
+    st.lists(st.tuples(st.text(), st.integers(0, 2**64 - 1))),
+    st.lists(st.tuples(st.text(), VALUES), max_size=4),
+)
+def test_rwset_codec_roundtrips_and_is_canonical(reads, writes):
+    rws = ReadWriteSet(reads=tuple(reads), writes=tuple(writes))
+    data = rws.to_bytes()
+    back = _rwset_bytes_reader(data)
+    assert back == rws
+    assert back.to_bytes() == data
+
+
+def test_endorser_memos_are_the_encoded_payload_and_rwset():
+    from consentledger.membership import population_registry
+    from consentledger.pipeline import SyncLedger
+
+    registry = population_registry(3)
+    ledger = SyncLedger(WorldStateDesign.RWS, registry)
+    ledger.submit_batch([assign_role("w0", "d0", "c0", "w0")])
+    tx = ledger.endorse(access_request("c0", "c0", "d0", "w0", "r0", "t0"))
+    assert len(tx.rwset.reads) == 4  # the role key and three consent keys
+    assert tx._rwset_memo == tx.rwset.to_bytes()
+    assert tx._payload_memo == tx.payload.to_bytes()
+    assert tx._stub_memo == endorsement_stub(
+        tx._payload_memo, tx._rwset_memo, tx.endorser_ids
+    )
+    copy = replace(tx)
+    assert copy._rwset_memo is copy._payload_memo is copy._stub_memo is None
+    assert copy.to_bytes() == tx.to_bytes()
+    assert verify_endorsement(copy, 1)
+    # parsed transactions keep no second copy of what was read
+    back = wire.decode_exact(tx.to_bytes(), EndorsedTransaction.from_reader)
+    assert back._rwset_memo is back._payload_memo is None
+    assert back == tx

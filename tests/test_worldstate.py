@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from consentledger import wire
+from consentledger import wire, worldstate
 from consentledger.keys import KeyCodecError
 from consentledger.worldstate import (
     ABSENT_VERSION,
@@ -70,6 +72,31 @@ def test_sandbox_rejects_bad_keys_and_values():
         ctx.put("", frozenset())
     with pytest.raises(TypeError):
         ctx.put("k|a|b|c", ["not", "allowed"])
+
+
+def test_sandbox_checks_only_keys_absent_from_state(monkeypatch):
+    state = VersionedWorldState()
+    state.apply_write("k|a|b|c", frozenset({"m"}))
+    checked = []
+    split_key = worldstate.split_key
+    monkeypatch.setattr(
+        worldstate, "split_key", lambda key: checked.append(key) or split_key(key)
+    )
+    ctx = SimulationContext(state)
+    assert ctx.get("k|a|b|c") == (frozenset({"m"}), 1)
+    assert ctx.get_value("k|a|b|c") == frozenset({"m"})
+    assert checked == []  # present keys passed the grammar when written
+    assert ctx.get("new|a|b|c") is None
+    assert ctx.get_value("new|a|b|c", "absent") == "absent"
+    assert checked == ["new|a|b|c"]  # an absent key is checked on its first read
+    for _ in range(2):
+        # a failed check records nothing, so a re-read fails again
+        with pytest.raises(KeyCodecError):
+            ctx.get("bad key")
+    with pytest.raises(KeyCodecError):
+        ctx.get_value("a||b")
+    assert checked == ["new|a|b|c", "bad key", "bad key", "a||b"]
+    assert ctx.rwset().reads == (("k|a|b|c", 1), ("new|a|b|c", 0))
 
 
 def test_validate_rwset_version_match():
@@ -150,4 +177,15 @@ def test_touch_count_unions_reads_and_writes():
         writes=(("a|x|y|z", frozenset()), ("c|x|y|z", "assign")),
     )
     assert rws.touch_count() == 3
-    assert rws.touched_keys() == {"a|x|y|z", "b|x|y|z", "c|x|y|z"}
+
+
+KEYS = st.sampled_from(["a|x", "b|x", "c|x", "d|x", "e|x"])
+
+
+@given(
+    st.dictionaries(KEYS, st.integers(0, 3)),
+    st.dictionaries(KEYS, st.just("assign")),
+)
+def test_touch_count_counts_distinct_keys(reads, writes):
+    rws = ReadWriteSet(reads=tuple(reads.items()), writes=tuple(writes.items()))
+    assert rws.touch_count() == len(set(reads) | set(writes))
