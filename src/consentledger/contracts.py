@@ -59,13 +59,17 @@ def _rows_scan(roster, res_id: str, wd_id: str, time_id: str) -> tuple:
     return tuple(sys.intern(rows_key(res_id, ind_id, wd_id, time_id)) for ind_id in roster)
 
 
-def _member_set(ctx: SimulationContext, key: str) -> frozenset:
-    value = ctx.get_value(key)
+def _members(key: str, value) -> frozenset:
+    """The member set a consent key holds, given the value read at it."""
     if value is None:
         return frozenset()
     if not isinstance(value, frozenset):
         raise ContractError(f"key {key!r} holds a marker, expected a member set")
     return value
+
+
+def _member_set(ctx: SimulationContext, key: str) -> frozenset:
+    return _members(key, ctx.get_value(key))
 
 
 def _update_consent(ctx: SimulationContext, payload: TransactionPayload,
@@ -112,8 +116,11 @@ def _access_request(ctx: SimulationContext, payload: TransactionPayload,
         else:
             keys = _rows_scan(roster, payload.res_id, payload.wd_id, payload.time_id)
             member = payload.role_id
+        values = ctx.get_values(keys)
         consenting = [
-            ind_id for ind_id, key in zip(roster, keys) if member in _member_set(ctx, key)
+            ind_id
+            for ind_id, key, value in zip(roster, keys, values)
+            if member in _members(key, value)
         ]
     return AccessGrantRecord(*coordinates, True, tuple(sorted(consenting)))
 
@@ -135,8 +142,7 @@ def execute_payload(
     if kind is PayloadKind.ACCESS_REQUEST:
         return _access_request(ctx, payload, design, roster)
     if kind is PayloadKind.RAW_READ:
-        for key in payload.read_keys:
-            ctx.get_value(key)
+        ctx.get_values(payload.read_keys)
         return None
     if kind is PayloadKind.RAW_WRITE:
         for key, value in payload.write_items:

@@ -194,6 +194,24 @@ def test_set_where_marker_expected_raises():
              WorldStateDesign.IWS, ("i1",))
 
 
+@pytest.mark.parametrize("design", (WorldStateDesign.RWS, WorldStateDesign.ROWS))
+def test_marker_in_scanned_key_raises(design):
+    state = VersionedWorldState()
+    _apply(state, assign_role("w1", "d1", "c9", "w1"), design)
+    roster = ("i1", "i2", "i3")
+    facts = [ConsentFact(ind, "r1", "d1", "w1", "t1") for ind in roster]
+    for fact in facts:
+        _apply(state, grant_consent(fact.ind_id, fact), design)
+    request = access_request("c9", "c9", "d1", "w1", "r1", "t1")
+    # every scanned key is in the state, so the scan reads them in one pass
+    _rws, result = _run(state, request, design, roster)
+    assert result.granted and result.consenting_individuals == roster
+    key, _member = encode_consent_key(design, facts[1])
+    state.apply_write(key, ROLE_ASSIGNED)
+    with pytest.raises(ContractError):
+        _run(state, request, design, roster)
+
+
 def test_raw_payloads():
     state = VersionedWorldState()
     state.apply_write("a|b|c|d", frozenset({"m"}))

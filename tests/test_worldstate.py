@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from consentledger import wire, worldstate
@@ -97,6 +97,60 @@ def test_sandbox_checks_only_keys_absent_from_state(monkeypatch):
         ctx.get_value("a||b")
     assert checked == ["new|a|b|c", "bad key", "bad key", "a||b"]
     assert ctx.rwset().reads == (("k|a|b|c", 1), ("new|a|b|c", 0))
+
+
+_BATCH_KEYS = ("k|a|b|c", "k|a|b|d", "k|a|b|e", "n|a|b|c")
+
+
+@given(
+    committed=st.lists(st.sampled_from(_BATCH_KEYS), max_size=6),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("read"),
+                st.lists(st.sampled_from(_BATCH_KEYS + ("bad key",)), max_size=5).map(
+                    tuple
+                ),
+            ),
+            st.tuples(st.sampled_from(("put", "commit")), st.sampled_from(_BATCH_KEYS)),
+        ),
+        max_size=8,
+    ),
+)
+@example(
+    # a key read before, then committed again: it keeps its first version
+    committed=["k|a|b|c", "k|a|b|d"],
+    steps=[
+        ("read", ("k|a|b|d", "k|a|b|c")),
+        ("commit", "k|a|b|d"),
+        ("read", ("k|a|b|c", "k|a|b|d")),
+    ],
+)
+def test_get_values_reads_like_get_value_per_key(committed, steps):
+    state = VersionedWorldState()
+    for key in committed:  # repeats give versions above 1
+        state.apply_write(key, frozenset({key}))
+    batched, single = SimulationContext(state), SimulationContext(state)
+    for op, arg in steps:
+        if op == "read":
+            try:
+                want = [single.get_value(key) for key in arg]
+            except KeyCodecError:
+                want = KeyCodecError
+            try:
+                got = batched.get_values(arg)
+            except KeyCodecError:
+                got = KeyCodecError
+            assert got == want
+        elif op == "put":
+            for ctx in (batched, single):
+                ctx.put(arg, frozenset({"staged"}))
+        else:
+            # a commit between reads: a key read before keeps the version
+            # of its first read
+            state.apply_write(arg, frozenset({"later"}))
+    assert batched.rwset().reads == single.rwset().reads
+    assert batched.rwset().writes == single.rwset().writes
 
 
 def test_validate_rwset_version_match():
