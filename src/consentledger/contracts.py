@@ -17,9 +17,6 @@ Key touch counts per operation (reads union writes):
 
 from __future__ import annotations
 
-import functools
-import sys
-
 from consentledger.keys import (
     ROLE_ASSIGNED,
     ROLE_REVOKED,
@@ -44,32 +41,13 @@ class ContractError(Exception):
     """Raised when a payload cannot execute against the observed state."""
 
 
-# An rws or rows access request reads one consent key per individual in
-# the roster (a tuple, as the registry gives it), and requests repeat their
-# coordinates. So the keys are built once per coordinates and shared: a
-# read costs no key-building call and no new string that its read set then
-# holds. They are interned, so state probes hit preloaded keys by identity.
-@functools.lru_cache(maxsize=64)
-def _rws_scan(roster, wd_id: str, role_id: str, time_id: str) -> tuple:
-    return tuple(sys.intern(rws_key(ind_id, wd_id, role_id, time_id)) for ind_id in roster)
-
-
-@functools.lru_cache(maxsize=64)
-def _rows_scan(roster, res_id: str, wd_id: str, time_id: str) -> tuple:
-    return tuple(sys.intern(rows_key(res_id, ind_id, wd_id, time_id)) for ind_id in roster)
-
-
-def _members(key: str, value) -> frozenset:
-    """The member set a consent key holds, given the value read at it."""
+def _member_set(ctx: SimulationContext, key: str) -> frozenset:
+    value = ctx.get_value(key)
     if value is None:
         return frozenset()
     if not isinstance(value, frozenset):
         raise ContractError(f"key {key!r} holds a marker, expected a member set")
     return value
-
-
-def _member_set(ctx: SimulationContext, key: str) -> frozenset:
-    return _members(key, ctx.get_value(key))
 
 
 def _update_consent(ctx: SimulationContext, payload: TransactionPayload,
@@ -106,22 +84,20 @@ def _access_request(ctx: SimulationContext, payload: TransactionPayload,
     coordinates = access_coordinates(payload)
     if marker != ROLE_ASSIGNED:
         return AccessGrantRecord(*coordinates, granted=False)
+    consenting: list = []
     if design is WorldStateDesign.IWS:
         key = iws_key(payload.res_id, payload.wd_id, payload.role_id, payload.time_id)
         consenting = list(_member_set(ctx, key))
+    elif design is WorldStateDesign.RWS:
+        for ind_id in roster:
+            key = rws_key(ind_id, payload.wd_id, payload.role_id, payload.time_id)
+            if payload.res_id in _member_set(ctx, key):
+                consenting.append(ind_id)
     else:
-        if design is WorldStateDesign.RWS:
-            keys = _rws_scan(roster, payload.wd_id, payload.role_id, payload.time_id)
-            member = payload.res_id
-        else:
-            keys = _rows_scan(roster, payload.res_id, payload.wd_id, payload.time_id)
-            member = payload.role_id
-        values = ctx.get_values(keys)
-        consenting = [
-            ind_id
-            for ind_id, key, value in zip(roster, keys, values)
-            if member in _members(key, value)
-        ]
+        for ind_id in roster:
+            key = rows_key(payload.res_id, ind_id, payload.wd_id, payload.time_id)
+            if payload.role_id in _member_set(ctx, key):
+                consenting.append(ind_id)
     return AccessGrantRecord(*coordinates, True, tuple(sorted(consenting)))
 
 
@@ -142,7 +118,8 @@ def execute_payload(
     if kind is PayloadKind.ACCESS_REQUEST:
         return _access_request(ctx, payload, design, roster)
     if kind is PayloadKind.RAW_READ:
-        ctx.get_values(payload.read_keys)
+        for key in payload.read_keys:
+            ctx.get_value(key)
         return None
     if kind is PayloadKind.RAW_WRITE:
         for key, value in payload.write_items:

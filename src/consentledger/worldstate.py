@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, Union
 
 from consentledger import wire
@@ -25,10 +24,6 @@ from consentledger.keys import split_key
 Value = Union[frozenset, str]
 
 ABSENT_VERSION = 0
-
-# the two fields of a state entry, (value, version)
-_VALUE = itemgetter(0)
-_VERSION = itemgetter(1)
 
 _TAG_MARKER = 0x01
 _TAG_MEMBERS = 0x02
@@ -124,10 +119,6 @@ class VersionedWorldState:
         self.height = 0
         self.write_count = 0
 
-    def get(self, key: str):
-        """Return (value, version) or None when the key was never written."""
-        return self._entries.get(key)
-
     def version_of(self, key: str) -> int:
         entry = self._entries.get(key)
         return entry[1] if entry is not None else ABSENT_VERSION
@@ -202,17 +193,11 @@ class SimulationContext:
     A key found in the state has therefore passed `split_key` already, so
     only the first read of an absent key runs it. A read that fails the
     check records nothing, so a re-read fails again.
-
-    `get_values` reads many keys at once. When no write is staged and every
-    key is in the state, it probes them all in one C-level pass, with no
-    Python frame per key; that also lets the cache misses of a large state
-    overlap instead of queueing one behind the other.
     """
 
     def __init__(self, state: VersionedWorldState):
-        # the state's own dict and its lookup: one probe per read, and no
-        # Python frame for it
-        self._entries = state._entries
+        # the state's own dict lookup: one probe per read, and no Python
+        # frame for it
         self._probe = state._entries.get
         # captured before the first read so an unchanged count at commit
         # time proves every observed version is still current
@@ -232,28 +217,6 @@ class SimulationContext:
         if key in self._writes:
             return self._writes[key]
         return default if entry is None else entry[0]
-
-    def get_values(self, keys) -> list:
-        """get_value for each of keys, in order: a list of values, with
-        None where a key is absent."""
-        if len(keys) < 2 or self._writes:
-            return [self.get_value(key) for key in keys]
-        try:
-            entries = itemgetter(*keys)(self._entries)
-        except KeyError:
-            # an absent key needs its grammar check on its first read
-            return [self.get_value(key) for key in keys]
-        reads = self._reads
-        earlier = dict(reads)
-        reads.update(zip(keys, map(_VERSION, entries)))
-        # a key read before keeps its place and the version of its first read
-        reads.update(earlier)
-        return list(map(_VALUE, entries))
-
-    def get(self, key: str):
-        """(value, committed version observed) or None when key is absent."""
-        value = self.get_value(key)
-        return None if value is None else (value, self._reads[key])
 
     def put(self, key: str, value: Value) -> None:
         split_key(key)

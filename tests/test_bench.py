@@ -65,7 +65,7 @@ def test_preload_fills_exactly_key_space():
     count = apply_preload(state, spec.preload_spec())
     assert count == 40
     assert state.key_count() == 40
-    members = state.get("r0|w0|d0|t0")[0]
+    members = dict(state.items())["r0|w0|d0|t0"][0]
     assert members == frozenset(f"i{k}" for k in range(10))
 
 

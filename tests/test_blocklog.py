@@ -103,7 +103,7 @@ def test_execute_transactions_reasons():
     )
     reasons = execute_transactions(state, [first, stale, fresh, forged], policy_m=1)
     assert reasons == [VALID, REASON_CONFLICT, VALID, REASON_ENDORSEMENT]
-    assert state.get(KEY) == (frozenset({"i1", "i2"}), 2)
+    assert dict(state.items())[KEY] == (frozenset({"i1", "i2"}), 2)
 
 
 def test_commit_block_appends_and_flags():

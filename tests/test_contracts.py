@@ -69,9 +69,9 @@ def test_grant_then_revoke_roundtrip(design):
     state = VersionedWorldState()
     key, member = encode_consent_key(design, FACT)
     _apply(state, grant_consent("i1", FACT), design)
-    assert state.get(key) == (frozenset({member}), 1)
+    assert dict(state.items())[key] == (frozenset({member}), 1)
     _apply(state, revoke_consent("i1", FACT), design)
-    assert state.get(key) == (frozenset(), 2)
+    assert dict(state.items())[key] == (frozenset(), 2)
 
 
 def test_revoke_consent_on_absent_key_writes_empty_set():
@@ -91,7 +91,7 @@ def test_role_assign_and_revoke():
     assert rws.touch_count() == 1
     apply_rwset(state, rws)
     _apply(state, revoke_role("w1", "d1", "c9", "w1"), design)
-    assert state.get("d1|c9|w1") == (ROLE_REVOKED, 2)
+    assert dict(state.items())["d1|c9|w1"] == (ROLE_REVOKED, 2)
 
 
 def test_revoke_unassigned_role_still_writes_marker():
@@ -203,7 +203,6 @@ def test_marker_in_scanned_key_raises(design):
     for fact in facts:
         _apply(state, grant_consent(fact.ind_id, fact), design)
     request = access_request("c9", "c9", "d1", "w1", "r1", "t1")
-    # every scanned key is in the state, so the scan reads them in one pass
     _rws, result = _run(state, request, design, roster)
     assert result.granted and result.consenting_individuals == roster
     key, _member = encode_consent_key(design, facts[1])

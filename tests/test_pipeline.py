@@ -229,7 +229,7 @@ def test_harness_bootstrap_counts_blocks():
     appended = harness.bootstrap(spec, [assign_role("w0", "d0", "c0", "w0")])
     assert appended == 2
     assert harness.log.height == 2
-    assert harness.state.get("d0|c0|w0") == ("assign", 1)
+    assert dict(harness.state.items())["d0|c0|w0"] == ("assign", 1)
     # a setup payload that fails authorization is a set-up error
     with pytest.raises(ConfigError, match="rejected: authorization"):
         harness.bootstrap(None, [assign_role("w1", "d0", "c0", "w0")])
@@ -302,7 +302,7 @@ def test_threaded_hot_key_retries_to_commit():
     stats = harness.run(_batches(payloads, 3))
     assert stats.committed == 12
     assert stats.finalized() == 12
-    assert harness.state.get("r0|w0|d0|t0") == (frozenset({"i0"}), 12)
+    assert dict(harness.state.items())["r0|w0|d0|t0"] == (frozenset({"i0"}), 12)
     retried = [r for r in stats.receipts if r.retry_count > 0]
     assert retried, "same-key writers must have conflicted at least once"
     # a retried receipt still names its submitter: receipts and submissions
