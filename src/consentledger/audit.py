@@ -15,9 +15,12 @@ calling the engine's validation: it folds the log into its own
 (key -> value, version) map, recomputes every validity flag
 (endorsement stub, MVCC read checks, state-init preconditions), and, for
 logs that contain only consent-domain operations, also rebuilds the
-abstract fact set and answers every logged access request by brute force
-over the facts. Divergence between the oracle and what the chain claims
-is reported, not repaired.
+abstract consent facts and answers every logged access request from
+them. The facts are indexed by their own (res_id, role_id, wd_id,
+time_id), so an answer is one lookup instead of a scan. The index is
+built from payload facts alone, never from world-state keys or a key
+layout, so it stays independent of the engine it checks. Divergence
+between the oracle and what the chain claims is reported, not repaired.
 """
 
 from __future__ import annotations
@@ -144,7 +147,8 @@ class ReplayReport:
     access_mismatches: list = field(default_factory=list)
     authorization_failures: list = field(default_factory=list)
     interpreted: bool = False
-    facts: set = field(default_factory=set)
+    # (res_id, role_id, wd_id, time_id) -> ind_ids with that consent granted
+    consent: dict = field(default_factory=dict)
     roles: dict = field(default_factory=dict)
 
     def clean(self) -> bool:
@@ -175,19 +179,17 @@ class ReplayReport:
         return True
 
 
-def _oracle_answer(facts: set, roles: dict, payload) -> tuple:
-    """Brute-force access decision over the abstract fact set."""
+def _fact_group(fact) -> tuple:
+    return fact.res_id, fact.role_id, fact.wd_id, fact.time_id
+
+
+def _oracle_answer(consent: dict, roles: dict, payload) -> tuple:
+    """Access decision from the consent index: the individuals whose fact
+    equals the request on res, role, watchdog and time."""
     if roles.get((payload.role_id, payload.dc_id, payload.wd_id)) != ROLE_ASSIGNED:
         return False, ()
-    consenting = sorted(
-        f.ind_id
-        for f in facts
-        if f.res_id == payload.res_id
-        and f.role_id == payload.role_id
-        and f.wd_id == payload.wd_id
-        and f.time_id == payload.time_id
-    )
-    return True, tuple(consenting)
+    group = consent.get(_fact_group(payload))
+    return True, tuple(sorted(group)) if group else ()
 
 
 def replay_oracle(
@@ -199,13 +201,15 @@ def replay_oracle(
     in one pass (a tampered log raises TamperedLogError): recomputed
     endorsement and MVCC outcomes are compared against the stored
     validity flags. Logs made purely of consent-domain operations
-    additionally get the fact-set interpretation and a brute-force check
-    of every committed access answer. When a registry is supplied, each
-    committed transaction is re-checked against the authorization matrix.
+    additionally get the fact interpretation: committed grants and
+    revokes maintain an index from (res_id, role_id, wd_id, time_id) to
+    the consenting ind_ids, and every committed access answer is checked
+    against a lookup in it. When a registry is supplied, each committed
+    transaction is re-checked against the authorization matrix.
     """
     report = ReplayReport()
-    versions: dict = {}
-    entries: dict = {}
+    entries = report.entries
+    consent = report.consent
     pure_cms = True
 
     for block in verified_blocks(store):
@@ -216,14 +220,14 @@ def replay_oracle(
             kind = tx.payload.kind
             if kind not in CMS_KINDS:
                 pure_cms = False
-            valid = _oracle_validate(tx, kind, versions, entries, policy_m)
+            valid = _oracle_validate(tx, kind, entries, policy_m)
             if valid != stored_valid:
                 report.flag_mismatches.append((block.height, index, tx.tx_id))
                 # keep folding what the chain claims so later comparisons
                 # stay meaningful
                 valid = stored_valid
             if valid:
-                _oracle_apply(tx, kind, versions, entries)
+                _oracle_apply(tx, kind, entries)
             else:
                 continue
             report.committed += 1
@@ -235,9 +239,13 @@ def replay_oracle(
                         (block.height, tx.tx_id, exc.reason)
                     )
             if kind is PayloadKind.GRANT_CONSENT:
-                report.facts.add(tx.payload.fact)
+                fact = tx.payload.fact
+                consent.setdefault(_fact_group(fact), set()).add(fact.ind_id)
             elif kind is PayloadKind.REVOKE_CONSENT:
-                report.facts.discard(tx.payload.fact)
+                fact = tx.payload.fact
+                group = consent.get(_fact_group(fact))
+                if group is not None:
+                    group.discard(fact.ind_id)
             elif kind in (PayloadKind.ASSIGN_ROLE, PayloadKind.REVOKE_ROLE):
                 marker = (
                     ROLE_ASSIGNED
@@ -249,7 +257,7 @@ def replay_oracle(
                 ] = marker
             elif kind is PayloadKind.ACCESS_REQUEST and pure_cms:
                 granted, consenting = _oracle_answer(
-                    report.facts, report.roles, tx.payload
+                    consent, report.roles, tx.payload
                 )
                 stored = tx.result
                 if (
@@ -259,13 +267,10 @@ def replay_oracle(
                 ):
                     report.access_mismatches.append((block.height, tx.tx_id))
     report.interpreted = pure_cms
-    report.entries = {
-        key: (value, versions[key]) for key, value in entries.items()
-    }
     return report
 
 
-def _oracle_validate(tx, kind, versions: dict, entries: dict, policy_m: int) -> bool:
+def _oracle_validate(tx, kind, entries: dict, policy_m: int) -> bool:
     """Independent validity decision; never mutates the fold."""
     if kind is PayloadKind.STATE_INIT:
         if entries:
@@ -278,20 +283,27 @@ def _oracle_validate(tx, kind, versions: dict, entries: dict, policy_m: int) -> 
     if not verify_endorsement(tx, policy_m):
         return False
     for key, seen_version in tx.rwset.reads:
-        if versions.get(key, 0) != seen_version:
+        entry = entries.get(key)
+        if (entry[1] if entry is not None else 0) != seen_version:
             return False
     return True
 
 
-def _oracle_apply(tx, kind, versions: dict, entries: dict) -> None:
+def _oracle_apply(tx, kind, entries: dict) -> None:
+    """Fold a valid transaction into entries: key -> (value, version)."""
     if kind is PayloadKind.STATE_INIT:
+        # state-init repeats one value object across many keys: share one
+        # entry tuple per distinct object
+        shared: dict = {}
         for key, value in tx.payload.init_spec.entries():
-            entries[key] = value
-            versions[key] = 1
+            entry = shared.get(id(value))
+            if entry is None:
+                entry = shared[id(value)] = (value, 1)
+            entries[key] = entry
         return
     for key, value in tx.rwset.writes:
-        entries[key] = value
-        versions[key] = versions.get(key, 0) + 1
+        entry = entries.get(key)
+        entries[key] = (value, entry[1] + 1 if entry is not None else 1)
 
 
 def replay_check(store, state, registry=None, policy_m: int = 1) -> ReplayReport:

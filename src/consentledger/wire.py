@@ -85,21 +85,26 @@ def hash_chunk(hasher, data: bytes) -> None:
 
 
 class Reader:
-    """Cursor over a byte string; every take_* advances and bounds-checks."""
+    """Cursor over a byte string; every take_* advances and bounds-checks.
+
+    Each take_* method checks its own bounds and reads its field with one
+    `unpack_from`, index or slice, so a field costs one Python call. A
+    field that runs past the end raises `WireError` naming the bytes it
+    needed, the offset and the bytes left; nothing here lets an
+    `IndexError` or a `struct.error` escape. Strings must be UTF-8 and
+    flags 0 or 1.
+    """
 
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise _truncated(n, self._pos, len(self._data) - self._pos)
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
     def take_u8(self) -> int:
-        return struct.unpack(">B", self._take(1))[0]
+        data, pos = self._data, self._pos
+        if pos + 1 > len(data):
+            raise _truncated(1, pos, len(data) - pos)
+        self._pos = pos + 1
+        return data[pos]
 
     def take_flag(self) -> bool:
         # only 0 and 1 decode: any other byte would reserialize differently
@@ -110,18 +115,44 @@ class Reader:
         return value == 1
 
     def take_u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+        data, pos = self._data, self._pos
+        if pos + 4 > len(data):
+            raise _truncated(4, pos, len(data) - pos)
+        self._pos = pos + 4
+        return _U32.unpack_from(data, pos)[0]
 
     def take_u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        data, pos = self._data, self._pos
+        if pos + 8 > len(data):
+            raise _truncated(8, pos, len(data) - pos)
+        self._pos = pos + 8
+        return _U64.unpack_from(data, pos)[0]
 
     def take_chunk(self) -> bytes:
-        return self._take(self.take_u32())
+        data, pos = self._data, self._pos
+        end = len(data)
+        if pos + 4 > end:
+            raise _truncated(4, pos, end - pos)
+        (n,) = _U32.unpack_from(data, pos)
+        pos += 4
+        if pos + n > end:
+            raise _truncated(n, pos, end - pos)
+        self._pos = pos + n
+        return data[pos : pos + n]
 
     def take_str(self) -> str:
-        raw = self.take_chunk()
+        # take_chunk's checks, inlined, then the UTF-8 check
+        data, pos = self._data, self._pos
+        end = len(data)
+        if pos + 4 > end:
+            raise _truncated(4, pos, end - pos)
+        (n,) = _U32.unpack_from(data, pos)
+        pos += 4
+        if pos + n > end:
+            raise _truncated(n, pos, end - pos)
+        self._pos = pos + n
         try:
-            return raw.decode("utf-8")
+            return data[pos : pos + n].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError(f"chunk is not valid UTF-8: {exc}") from exc
 

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from consentledger import blocklog
+from consentledger import audit, blocklog
 from consentledger.audit import (
     ReplayMismatchError,
     TamperedLogError,
     audit_consumer,
     audit_individual,
     audit_watchdog,
+    iter_committed,
     replay_check,
     replay_oracle,
 )
@@ -19,6 +20,7 @@ from consentledger.keys import ConsentFact, WorldStateDesign
 from consentledger.membership import population_registry
 from consentledger.pipeline import PipelineConfig, Status, SyncLedger
 from consentledger.transactions import (
+    PayloadKind,
     access_request,
     assign_role,
     grant_consent,
@@ -127,6 +129,104 @@ def test_replay_random_history_all_designs():
         ledger.submit_batch(payloads)
         report = replay_check(ledger.log.store, ledger.state, registry=registry)
         assert report.clean() and report.interpreted
+
+
+def _brute_force_answers(store):
+    """Reference access answers: a scan of every consent fact per request.
+
+    Also counts the history's edge cases, so a test can require them."""
+    facts, roles, answers = set(), {}, []
+    seen = {"regrant": 0, "phantom_revoke": 0, "emptied": 0}
+    revoked = set()
+    for _height, tx in iter_committed(store):
+        p = tx.payload
+        if p.kind is PayloadKind.GRANT_CONSENT:
+            seen["regrant"] += p.fact in revoked
+            facts.add(p.fact)
+        elif p.kind is PayloadKind.REVOKE_CONSENT:
+            present = p.fact in facts
+            seen["phantom_revoke"] += not present
+            facts.discard(p.fact)
+            revoked.add(p.fact)
+            group = (p.fact.res_id, p.fact.role_id, p.fact.wd_id, p.fact.time_id)
+            seen["emptied"] += present and not any(
+                (f.res_id, f.role_id, f.wd_id, f.time_id) == group for f in facts
+            )
+        elif p.kind in (PayloadKind.ASSIGN_ROLE, PayloadKind.REVOKE_ROLE):
+            roles[(p.role_id, p.dc_id, p.wd_id)] = p.kind is PayloadKind.ASSIGN_ROLE
+        elif p.kind is PayloadKind.ACCESS_REQUEST:
+            if not roles.get((p.role_id, p.dc_id, p.wd_id)):
+                answers.append((False, ()))
+                continue
+            consenting = sorted(
+                f.ind_id
+                for f in facts
+                if f.res_id == p.res_id
+                and f.role_id == p.role_id
+                and f.wd_id == p.wd_id
+                and f.time_id == p.time_id
+            )
+            answers.append((True, tuple(consenting)))
+    return answers, seen
+
+
+def test_indexed_oracle_matches_brute_force(monkeypatch):
+    """The oracle's consent index answers every request as a full scan does."""
+    answered = []
+    indexed = audit._oracle_answer
+
+    def recording(consent, roles, payload):
+        answer = indexed(consent, roles, payload)
+        answered.append(answer)
+        return answer
+
+    monkeypatch.setattr(audit, "_oracle_answer", recording)
+    registry = population_registry(6)
+    fact = ConsentFact("i0", "r0", "d0", "w0", "t0")
+    # grant, revoke to an empty group, re-grant, and revoke what was never
+    # granted, each asked about; then a random history over few groups
+    script = [
+        assign_role("w0", "d0", "c0", "w0"),
+        grant_consent("i0", fact),
+        revoke_consent("i0", fact),
+        access_request("c0", "c0", "d0", "w0", "r0", "t0"),
+        grant_consent("i0", fact),
+        access_request("c0", "c0", "d0", "w0", "r0", "t0"),
+        revoke_consent("i1", ConsentFact("i1", "r1", "d0", "w0", "t0")),
+        access_request("c0", "c0", "d0", "w0", "r1", "t0"),
+    ]
+    for seed, design in enumerate(WorldStateDesign):
+        rng = random.Random(900 + seed)
+        ledger = SyncLedger(design, registry, PipelineConfig(block_size=5))
+        for step in script:
+            assert ledger.submit_one(step).status is Status.COMMITTED
+        payloads = []
+        for _ in range(150):
+            roll = rng.random()
+            ind = f"i{rng.randrange(6)}"
+            res, role = f"r{rng.randrange(3)}", f"d{rng.randrange(2)}"
+            fact = ConsentFact(ind, res, role, "w0", f"t{rng.randrange(2)}")
+            if roll < 0.35:
+                payloads.append(grant_consent(ind, fact))
+            elif roll < 0.6:
+                payloads.append(revoke_consent(ind, fact))
+            elif roll < 0.65:
+                make = assign_role if rng.random() < 0.7 else revoke_role
+                payloads.append(make("w0", role, "c0", "w0"))
+            else:
+                payloads.append(
+                    access_request("c0", "c0", role, "w0", res, f"t{rng.randrange(2)}")
+                )
+        ledger.submit_batch(payloads)
+
+        answered.clear()
+        report = replay_check(ledger.log.store, ledger.state, registry=registry)
+        expected, seen = _brute_force_answers(ledger.log.store)
+        assert report.clean() and report.interpreted
+        assert answered == expected
+        assert len(expected) > 40
+        assert sum(granted and not who for granted, who in expected) > 0
+        assert all(seen.values()), seen
 
 
 def test_replay_flags_rewritten_decision():

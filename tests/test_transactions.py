@@ -197,6 +197,67 @@ def test_take_strs_rejects_bad_lists():
         wire.Reader(wire.pack_u32(1) + wire.pack_chunk(b"\xff")).take_strs()
 
 
+# one valid frame per Reader field method, after one leading u8, so each
+# field is read at a non-zero offset
+READER_FIELDS = {
+    "take_u8": (wire.pack_u8(200), 200),
+    "take_flag": (wire.pack_u8(1), True),
+    "take_u32": (wire.pack_u32(0xDEADBEEF), 0xDEADBEEF),
+    "take_u64": (wire.pack_u64(2**64 - 1), 2**64 - 1),
+    "take_chunk": (wire.pack_chunk(b"\x00abc"), b"\x00abc"),
+    "take_str": (wire.pack_str("é|w0"), "é|w0"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(READER_FIELDS))
+def test_reader_field_cut_at_every_offset_raises_only_wire_error(method):
+    frame, value = READER_FIELDS[method]
+    data = wire.pack_u8(9) + frame
+    reader = wire.Reader(data)
+    assert reader.take_u8() == 9
+    assert getattr(reader, method)() == value
+    reader.expect_end()
+    for cut in range(1, len(data)):
+        reader = wire.Reader(data[:cut])
+        reader.take_u8()
+        # pytest.raises lets an IndexError or struct.error through as a failure
+        with pytest.raises(wire.WireError):
+            getattr(reader, method)()
+
+
+@pytest.mark.parametrize(
+    "data, method, message",
+    [
+        (b"", "take_u8", "need 1 bytes at offset 0, have 0"),
+        (b"\x00\x00", "take_u32", "need 4 bytes at offset 0, have 2"),
+        (bytes(7), "take_u64", "need 8 bytes at offset 0, have 7"),
+        (b"\x00\x00\x00", "take_chunk", "need 4 bytes at offset 0, have 3"),
+        (wire.pack_u32(5) + b"ab", "take_chunk", "need 5 bytes at offset 4, have 2"),
+        (wire.pack_u32(9) + b"abc", "take_str", "need 9 bytes at offset 4, have 3"),
+    ],
+)
+def test_reader_truncation_message(data, method, message):
+    with pytest.raises(wire.WireError, match=f"^truncated frame: {message}$"):
+        getattr(wire.Reader(data), method)()
+
+
+def test_reader_truncation_message_at_later_offset():
+    reader = wire.Reader(wire.pack_u32(1) + wire.pack_str("a") + bytes(3))
+    assert reader.take_u32() == 1
+    assert reader.take_str() == "a"
+    with pytest.raises(wire.WireError, match="^truncated frame: need 8 bytes at offset 9, have 3$"):
+        reader.take_u64()
+
+
+def test_reader_rejects_bad_utf8_and_flag_bytes():
+    with pytest.raises(wire.WireError, match="not valid UTF-8"):
+        wire.Reader(wire.pack_chunk(b"a\xff")).take_str()
+    assert wire.Reader(wire.pack_chunk(b"a\xff")).take_chunk() == b"a\xff"
+    with pytest.raises(wire.WireError, match="flag byte must be 0 or 1, got 2"):
+        wire.Reader(wire.pack_u8(2)).take_flag()
+    assert wire.Reader(wire.pack_u8(0)).take_flag() is False
+
+
 TOKENS = st.from_regex(r"[A-Za-z0-9_-]{1,6}", fullmatch=True)
 KEYS = st.lists(TOKENS, min_size=3, max_size=4).map("|".join)
 VALUES = st.one_of(st.frozensets(TOKENS, max_size=5), TOKENS)
