@@ -25,6 +25,7 @@ between the oracle and what the chain claims is reported, not repaired.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 # parse_block and verify_chain are not called here, but benchmark tracing
@@ -160,23 +161,14 @@ class ReplayReport:
 
     def matches_state(self, state) -> bool:
         """Exact (value, version) equality against a live world state."""
-        if state.key_count() != len(self.entries):
+        entries = self.entries
+        if state.key_count() != len(entries):
             return False
-        # both sides share value objects across many keys, so remember each
-        # compared object pair instead of re-walking large sets per key
-        seen_pairs: set = set()
-        for key, (value, version) in state.items():
-            entry = self.entries.get(key)
-            if entry is None or entry[1] != version:
-                return False
-            other = entry[0]
-            pair = (id(value), id(other))
-            if pair in seen_pairs:
-                continue
-            if value is not other and value != other:
-                return False
-            seen_pairs.add(pair)
-        return True
+        # both sides share entry tuples across many keys, so one pass
+        # collects the distinct (live, replayed) entry pairs and each pair
+        # is compared once; a live key the replay lacks pairs with None
+        pairs = {(entry, entries.get(key)) for key, entry in state.items()}
+        return all(live == replayed for live, replayed in pairs)
 
 
 def _fact_group(fact) -> tuple:
@@ -292,14 +284,10 @@ def _oracle_validate(tx, kind, entries: dict, policy_m: int) -> bool:
 def _oracle_apply(tx, kind, entries: dict) -> None:
     """Fold a valid transaction into entries: key -> (value, version)."""
     if kind is PayloadKind.STATE_INIT:
-        # state-init repeats one value object across many keys: share one
-        # entry tuple per distinct object
-        shared: dict = {}
-        for key, value in tx.payload.init_spec.entries():
-            entry = shared.get(id(value))
-            if entry is None:
-                entry = shared[id(value)] = (value, 1)
-            entries[key] = entry
+        # every grid key shares one (members, 1) entry tuple, filled in one
+        # call with no second key map beside entries
+        spec = tx.payload.init_spec
+        entries.update(zip(spec.keys(), itertools.repeat((spec.shared_members(), 1))))
         return
     for key, value in tx.rwset.writes:
         entry = entries.get(key)

@@ -10,8 +10,11 @@ parameters instead of reading a million logged writes.
 Generation is pure grid enumeration, no RNG involved: keys walk the
 coordinate grid for the chosen design in a fixed segment order and every
 key carries the same shared member set (the first `value_space` tokens of
-the member pool). Sharing one frozenset across keys keeps a million-key
-preload within desk memory.
+the member pool). The walk is one chain of C-level iterators, and the
+state and the replay oracle each install the whole grid in one call with
+a single shared (members, 1) entry, so a preload runs no Python code per
+key. Sharing one entry across keys keeps a million-key preload within
+desk memory.
 
 ID pools are fixed-prefix, zero-based: individuals i0.., resources r0..,
 roles d0.., watchdogs w0.., timeframes t0.., consumers c0.. .
@@ -118,24 +121,17 @@ class PreloadSpec:
     def keys(self) -> Iterator[str]:
         """The first key_space keys of the grid, slowest axis first.
 
-        Keys are interned: the preload apply and the workload generator
-        each enumerate this grid separately, and interning makes both
-        sides hold the same string objects, so state lookups during a
-        run hit on identity instead of comparing a million keys by
-        value. It also stores each key once instead of twice.
+        One chain of C-level iterators does the walk (product over the
+        four pools, islice to key_space, join, intern), so no Python frame
+        runs per key. Keys are interned: the preload apply, the replay
+        oracle and the workload generator each enumerate this grid
+        separately, and interning makes them hold the same string objects,
+        so state lookups during a run hit on identity instead of comparing
+        a million keys by value. It also stores each key once.
         """
-        axes = [make_pool(prefix, count) for prefix, count in self.key_axes()]
-        produced = 0
-        for combo in itertools.product(*axes):
-            if produced >= self.key_space:
-                return
-            produced += 1
-            yield sys.intern(SEPARATOR.join(combo))
-
-    def entries(self) -> Iterator:
-        members = self.shared_members()
-        for key in self.keys():
-            yield key, members
+        pools = [make_pool(prefix, count) for prefix, count in self.key_axes()]
+        grid = itertools.islice(itertools.product(*pools), self.key_space)
+        return map(sys.intern, map(SEPARATOR.join, grid))
 
     def to_bytes(self) -> bytes:
         counts = [wire.pack_u64(getattr(self, name)) for name in COUNT_FIELDS]
@@ -157,6 +153,6 @@ COUNT_FIELDS = tuple(f.name for f in fields(PreloadSpec))[1:]
 
 
 def apply_preload(state, spec: PreloadSpec) -> int:
-    """Install the generated entries at version 1. Returns the key count."""
+    """Install the grid's keys at version 1. Returns the key count."""
     spec.validate()
-    return state.bulk_load(spec.entries())
+    return state.bulk_load(spec.keys(), spec.shared_members())

@@ -136,23 +136,21 @@ class VersionedWorldState:
         self.write_count += 1
         return version
 
-    def bulk_load(self, items) -> int:
-        """Install preload entries at version 1; keys must be fresh."""
-        count = 0
-        # preloads repeat one value object across many keys: reuse one
-        # entry tuple per distinct object so lookups hit warm memory
-        shared_entries: dict = {}
-        for key, value in items:
-            if key in self._entries:
-                raise ValueError(f"bulk_load over existing key {key!r}")
-            entry = shared_entries.get(id(value))
-            if entry is None:
-                entry = (value, 1)
-                shared_entries[id(value)] = entry
-            self._entries[key] = entry
-            count += 1
-        self.write_count += count
-        return count
+    def bulk_load(self, keys, value) -> int:
+        """Install fresh keys at version 1, all sharing one (value, 1) entry.
+
+        Preloads repeat one value across many keys, so one shared entry
+        tuple keeps lookups on warm memory. Raises ValueError, leaving the
+        entries and write_count as they were, when any key is already
+        present. Returns the number of keys loaded.
+        """
+        loaded = dict.fromkeys(keys, (value, 1))
+        clash = loaded.keys() & self._entries.keys()
+        if clash:
+            raise ValueError(f"bulk_load over existing key {min(clash)!r}")
+        self._entries.update(loaded)
+        self.write_count += len(loaded)
+        return len(loaded)
 
     def digest(self) -> str:
         """Order-independent SHA-256 over (key, value, version) triples."""

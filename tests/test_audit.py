@@ -19,6 +19,7 @@ from consentledger.blocklog import MemoryLogStore, parse_block, serialize_block,
 from consentledger.keys import ConsentFact, WorldStateDesign
 from consentledger.membership import population_registry
 from consentledger.pipeline import PipelineConfig, Status, SyncLedger
+from consentledger.preload import PreloadSpec
 from consentledger.transactions import (
     PayloadKind,
     access_request,
@@ -27,6 +28,7 @@ from consentledger.transactions import (
     revoke_consent,
     revoke_role,
 )
+from consentledger.worldstate import digest_entries
 
 DESIGN = WorldStateDesign.IWS
 
@@ -129,6 +131,74 @@ def test_replay_random_history_all_designs():
         ledger.submit_batch(payloads)
         report = replay_check(ledger.log.store, ledger.state, registry=registry)
         assert report.clean() and report.interpreted
+
+
+def _preloaded_ledger(design):
+    """A partial preload grid, one role grant and one consent grant."""
+    spec = PreloadSpec(
+        design,
+        n_individuals=3,
+        n_resources=4,
+        n_roles=3,
+        n_watchdogs=1,
+        n_timeframes=1,
+        key_space=7,
+        value_space=2,
+    )
+    registry = population_registry(3)
+    ledger = SyncLedger(design, registry)
+    ledger.bootstrap(spec, [assign_role("w0", "d0", "c0", "w0")])
+    fact = ConsentFact("i2", "r3", "d2", "w0", "t0")
+    assert ledger.submit_one(grant_consent("i2", fact)).status is Status.COMMITTED
+    return ledger, registry
+
+
+def _first_key(state):
+    return next(key for key, _entry in state.items())
+
+
+def _remove_key(state):
+    del state._entries[_first_key(state)]
+
+
+def _add_key(state):
+    state.apply_write("extra|w0|d0|t0", frozenset({"i0"}))
+
+
+def _move_key(state):
+    # same key count, so only the per-key comparison can catch it
+    state._entries["extra|w0|d0|t0"] = state._entries.pop(_first_key(state))
+
+
+def _bump_version(state):
+    key = _first_key(state)
+    state.apply_write(key, state._entries[key][0])
+
+
+def _swap_value(state):
+    key = _first_key(state)
+    state._entries[key] = (frozenset({"i9"}), state._entries[key][1])
+
+
+@pytest.mark.parametrize("design", list(WorldStateDesign), ids=lambda d: d.value)
+def test_replay_check_on_preloaded_chain(design):
+    ledger, registry = _preloaded_ledger(design)
+    report = replay_check(ledger.log.store, ledger.state, registry=registry)
+    assert report.clean()
+    assert digest_entries(report.entries) == ledger.state.digest()
+
+    # an equal value held in a distinct object still matches
+    key = _first_key(ledger.state)
+    value, version = ledger.state._entries[key]
+    ledger.state._entries[key] = (frozenset(set(value)), version)
+    assert ledger.state._entries[key][0] is not value
+    replay_check(ledger.log.store, ledger.state, registry=registry)
+
+    for mutate in (_remove_key, _add_key, _move_key, _bump_version, _swap_value):
+        ledger, registry = _preloaded_ledger(design)
+        mutate(ledger.state)
+        with pytest.raises(ReplayMismatchError, match="replayed state differs"):
+            replay_check(ledger.log.store, ledger.state, registry=registry)
 
 
 def _brute_force_answers(store):

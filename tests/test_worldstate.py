@@ -124,10 +124,21 @@ def test_apply_rwset_bumps_versions():
 
 def test_bulk_load_requires_fresh_keys():
     state = VersionedWorldState()
-    assert state.bulk_load([("k|a|b|c", frozenset({"m"}))]) == 1
+    assert state.bulk_load(["k|a|b|c"], frozenset({"m"})) == 1
     assert state.version_of("k|a|b|c") == 1
     with pytest.raises(ValueError):
-        state.bulk_load([("k|a|b|c", frozenset())])
+        state.bulk_load(["k|a|b|c"], frozenset())
+
+
+def test_bulk_load_refusal_leaves_state_unchanged():
+    state = VersionedWorldState()
+    state.apply_write("k|a|b|c", frozenset({"m"}))
+    before = dict(state.items())
+    # the clash is the last key: no key ahead of it may be installed either
+    with pytest.raises(ValueError, match=r"k\|a\|b\|c"):
+        state.bulk_load(["a|a|b|c", "b|a|b|c", "k|a|b|c"], frozenset({"n"}))
+    assert dict(state.items()) == before
+    assert state.write_count == 1
 
 
 def test_digest_order_independent():
