@@ -13,8 +13,10 @@ Workload kinds:
 
 Every run bootstraps its preload (block 1) and role grants (block 2, when
 the workload issues access requests), then pushes the generated payloads
-through the pipeline and, by default, replays the finished log with the
+through the pipeline, and always replays the finished log with the
 independent oracle and requires exact state agreement before reporting.
+Population cells and conflict writers derive their keys and members from
+the layout table (`keys.LAYOUTS`), so every design runs the same cells.
 
 CSV columns, in order:
 
@@ -23,10 +25,10 @@ CSV columns, in order:
   overload_flag
 
 `aborted` counts every transaction that reached a final non-committed
-state (aborts after retry exhaustion plus cancellations of an overloaded
-run); `overload_flag` is 1 when the submission queue stayed saturated
-past the overload window and the run was cancelled, and such runs report
-tps 0. Population cells whose member pools cannot cover the requested
+state (aborts after retry exhaustion, rejections, and cancellations of an
+overloaded run), so committed + aborted = txs; `overload_flag` is 1 when
+the submission queue stayed saturated past the overload window and the
+run was cancelled, and such runs report tps 0. Population cells whose member pools cannot cover the requested
 value space fail validation instead of silently shrinking.
 """
 
@@ -37,19 +39,19 @@ import gc
 import random
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from consentledger.audit import replay_check
 from consentledger.blocklog import BlockLog, FileLogStore
-from consentledger.keys import ConsentFact, WorldStateDesign
-from consentledger.membership import MembershipRegistry, population_registry
+from consentledger.keys import LAYOUTS, ConsentFact, WorldStateDesign
+from consentledger.membership import population_registry
 from consentledger.pipeline import (
     LedgerHarness,
     PipelineConfig,
     SyncLedger,
 )
-from consentledger.preload import COUNT_FIELDS, PreloadError, PreloadSpec
+from consentledger.preload import COUNT_FIELDS, POOLS, PreloadError, PreloadSpec, make_pool
 from consentledger.transactions import (
     access_request,
     assign_role,
@@ -167,7 +169,11 @@ class BenchResult:
     hits_min: int
     hits_max: int
     overloaded: bool
-    state_digest: str
+
+    @property
+    def not_committed(self) -> int:
+        """Every final non-committed transaction: the CSV `aborted` column."""
+        return self.aborted + self.rejected + self.cancelled
 
     def to_csv_row(self) -> list:
         spec = self.spec
@@ -181,7 +187,7 @@ class BenchResult:
             str(spec.keys_per_tx),
             str(spec.total_txs),
             str(self.committed),
-            str(self.aborted + self.cancelled),
+            str(self.not_committed),
             str(self.blocks),
             f"{0.0 if self.overloaded else self.tps:.2f}",
             f"{self.hits_mean:.3f}",
@@ -234,22 +240,16 @@ def table3_spec(
     design: WorldStateDesign, n_res: int, n_ind: int, txs: int = 10_000, seed: int = 7
 ) -> WorkloadSpec:
     """One population cell: preload every consent key for the design."""
-    if design is WorldStateDesign.IWS:
-        key_space = n_res
-        value_space = min(n_ind, TABLE3_VALUE_CAP)
-    elif design is WorldStateDesign.RWS:
-        key_space = n_ind
-        value_space = min(n_res, TABLE3_VALUE_CAP)
-    else:
-        key_space = n_res * n_ind
-        value_space = 1
+    # one role, watchdog and timeframe: the grid spans the population axes
+    pools = PreloadSpec(design, n_individuals=n_ind, n_resources=n_res, n_roles=1,
+                        n_watchdogs=1, n_timeframes=1, key_space=0, value_space=0)
     return WorkloadSpec(
         kind="table3",
         design=design,
         n_individuals=n_ind,
         n_resources=n_res,
-        key_space=key_space,
-        value_space=value_space,
+        key_space=pools.grid_size(),
+        value_space=min(pools.member_pool_size(), TABLE3_VALUE_CAP),
         keys_per_tx=1,
         total_txs=txs,
         seed=seed,
@@ -291,25 +291,18 @@ def build_payloads(spec: WorkloadSpec) -> list:
 
 
 def conflict_payloads(spec: WorkloadSpec) -> list:
-    """k grant-consent payloads that all land on one world-state key."""
-    k = spec.conflict_k
-    payloads = []
-    if spec.design is WorldStateDesign.IWS:
-        # k individuals consent for the same (res, wd, role, time)
-        for i in range(k):
-            fact = ConsentFact(f"i{i}", "r0", "d0", "w0", "t0")
-            payloads.append(grant_consent(f"i{i}", fact))
-    elif spec.design is WorldStateDesign.RWS:
-        # one individual consents for k resources: same (ind, wd, role, time)
-        for i in range(k):
-            fact = ConsentFact("i0", f"r{i}", "d0", "w0", "t0")
-            payloads.append(grant_consent("i0", fact))
-    else:
-        # one individual consents k roles for one resource
-        for i in range(k):
-            fact = ConsentFact("i0", "r0", f"d{i}", "w0", "t0")
-            payloads.append(grant_consent("i0", fact))
-    return payloads
+    """k grant-consent payloads that all land on one world-state key.
+
+    The k facts differ only in the layout's member field, and each is
+    granted by the fact's own individual.
+    """
+    member = LAYOUTS[spec.design].member
+    base = ConsentFact("i0", "r0", "d0", "w0", "t0")
+    facts = [
+        replace(base, **{member: token})
+        for token in make_pool(POOLS[member][0], spec.conflict_k)
+    ]
+    return [grant_consent(fact.ind_id, fact) for fact in facts]
 
 
 def split_batches(payloads, n_clients: int) -> list:
@@ -342,22 +335,18 @@ def _measurement_window():
 def run_bench(
     spec: WorkloadSpec,
     config: PipelineConfig | None = None,
-    registry: MembershipRegistry | None = None,
     log_store=None,
-    replay: bool = True,
 ) -> BenchResult:
     """Execute one workload spec end to end and return its measurements.
 
     Uses a temporary file-backed log unless a store is supplied, so large
-    read-write sets spill to disk instead of accumulating in memory. The
-    replay step re-executes the finished chain with the independent
-    oracle and raises on any disagreement with the live state.
+    read-write sets spill to disk instead of accumulating in memory. Every
+    run then re-executes the finished chain with the independent oracle
+    and raises ReplayMismatchError on any disagreement with the live state.
     """
     spec = spec.validate()
     cfg = (config or PipelineConfig()).validate()
-    registry = registry or population_registry(
-        spec.n_individuals, spec.n_watchdogs, 1
-    )
+    registry = population_registry(spec.n_individuals, spec.n_watchdogs, 1)
     tmp_handle = None
     if log_store is None:
         tmp_handle = tempfile.NamedTemporaryFile(
@@ -385,8 +374,7 @@ def run_bench(
         ):
             raise WorkloadError("final receipts do not cover every payload")
 
-        if replay:
-            replay_check(log.store, state, registry=registry, policy_m=cfg.policy_m)
+        replay_check(log.store, state, registry=registry, policy_m=cfg.policy_m)
 
         elapsed = max(stats.elapsed_s, 1e-9)
         return BenchResult(
@@ -402,7 +390,6 @@ def run_bench(
             hits_min=stats.touch_min,
             hits_max=stats.touch_max,
             overloaded=stats.overloaded,
-            state_digest=state.digest(),
         )
     finally:
         if tmp_handle is not None:

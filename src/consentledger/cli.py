@@ -3,21 +3,24 @@
     consentledger bench <kind> [--design iws|rws|rows] [--block-size N]
                   [--endorsers N] [--policy m/k] [--seed N] [--txs N]
                   [--out results.csv] [--config pipeline.cfg]
-                  [--log-file chain.log] [--no-replay]
+                  [--log-file chain.log]
     consentledger audit <subject> --log chain.log
     consentledger verify --log chain.log
     consentledger replay --log chain.log [--registry actors.txt] [--policy m/k]
 
 bench runs one sweep (keyspace, valuespace, write-valuespace, txsize,
-table3, conflict) and prints one line per cell; --out appends the pinned
-CSV rows. audit subjects are written kind:id, e.g. individual:i4,
-consumer:c0, watchdog:w0. verify exits 1 when the chain fails its hash
-walk, replay exits 1 when re-execution disagrees with the stored flags
-or answers. audit, verify and replay only read the log: a missing or
-empty log file exits 2 and is not created. A missing or malformed
---registry or --config file and a bad --policy also exit 2, and so does a
-bench --log-file in a missing directory or one that already holds a
-chain, before any cell runs.
+table3, conflict), replays each cell's chain with the independent
+oracle, and prints one line per cell, whose aborted= count is the CSV
+aborted column; --out appends the pinned CSV rows. audit subjects are
+written kind:id, e.g. individual:i4, consumer:c0, watchdog:w0. verify
+exits 1 when the chain fails its hash walk, replay exits 1 when
+re-execution disagrees with the stored flags or answers. audit, verify
+and replay only read the log: a missing or empty log file exits 2 and is
+not created. A missing or malformed --registry or --config file (a time
+that is not a finite number of seconds up to threading.TIMEOUT_MAX
+included) and a bad --policy also exit 2, and so does a bench --log-file
+in a missing directory or one that already holds a chain, before any
+cell runs.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pipeline config file; flags override it")
     p_bench.add_argument("--log-file", type=str, default=None,
                          help="persist the block chain here instead of a temp file")
-    p_bench.add_argument("--no-replay", action="store_true",
-                         help="skip the replay oracle check after each run")
 
     p_audit = sub.add_parser("audit", help="list committed events for one actor")
     p_audit.add_argument("subject", help="kind:id, e.g. individual:i4")
@@ -121,12 +122,7 @@ def cmd_bench(args) -> int:
     for spec, path in zip(specs, paths):
         log_store = FileLogStore(path) if path is not None else None
         try:
-            result = bench_mod.run_bench(
-                spec,
-                config=cfg,
-                log_store=log_store,
-                replay=not args.no_replay,
-            )
+            result = bench_mod.run_bench(spec, config=cfg, log_store=log_store)
         finally:
             if log_store is not None:
                 log_store.close()
@@ -137,7 +133,7 @@ def cmd_bench(args) -> int:
             f"values={spec.value_space} keys/tx={spec.keys_per_tx} "
             f"pop=({spec.n_resources}x{spec.n_individuals}) "
             f"txs={spec.total_txs} committed={result.committed} "
-            f"aborted={result.aborted + result.cancelled} blocks={result.blocks} "
+            f"aborted={result.not_committed} blocks={result.blocks} "
             f"tps={0.0 if result.overloaded else result.tps:.1f} "
             f"hits={result.hits_mean:.1f}{flag}"
         )

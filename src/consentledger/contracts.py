@@ -13,19 +13,23 @@ Key touch counts per operation (reads union writes):
   assign/revoke role     1
   access request         2 for iws, n+1 for rws/rows (n = roster size),
                          1 when the role is not assigned (denied early)
+
+The access request reads the key layout from `keys.LAYOUTS`: when the
+member set holds individuals (iws) it reads one consent key; otherwise
+the individual is a key segment and one loop scans the roster for both
+rws and rows.
 """
 
 from __future__ import annotations
 
 from consentledger.keys import (
+    LAYOUTS,
     ROLE_ASSIGNED,
     ROLE_REVOKED,
+    SEPARATOR,
     WorldStateDesign,
     encode_consent_key,
     encode_role_key,
-    iws_key,
-    rows_key,
-    rws_key,
     validate_token,
 )
 from consentledger.transactions import (
@@ -84,20 +88,21 @@ def _access_request(ctx: SimulationContext, payload: TransactionPayload,
     coordinates = access_coordinates(payload)
     if marker != ROLE_ASSIGNED:
         return AccessGrantRecord(*coordinates, granted=False)
-    consenting: list = []
-    if design is WorldStateDesign.IWS:
-        key = iws_key(payload.res_id, payload.wd_id, payload.role_id, payload.time_id)
-        consenting = list(_member_set(ctx, key))
-    elif design is WorldStateDesign.RWS:
-        for ind_id in roster:
-            key = rws_key(ind_id, payload.wd_id, payload.role_id, payload.time_id)
-            if payload.res_id in _member_set(ctx, key):
-                consenting.append(ind_id)
+    segments, member = LAYOUTS[design]
+    if member == "ind_id":
+        key = SEPARATOR.join([getattr(payload, name) for name in segments])
+        consenting = _member_set(ctx, key)
     else:
-        for ind_id in roster:
-            key = rows_key(payload.res_id, ind_id, payload.wd_id, payload.time_id)
-            if payload.role_id in _member_set(ctx, key):
-                consenting.append(ind_id)
+        # the key's other segments come from the request; the scan fills
+        # in each individual between them
+        split = segments.index("ind_id")
+        head = "".join([getattr(payload, name) + SEPARATOR for name in segments[:split]])
+        tail = "".join([SEPARATOR + getattr(payload, name) for name in segments[split + 1:]])
+        wanted = getattr(payload, member)
+        consenting = [
+            ind_id for ind_id in roster
+            if wanted in _member_set(ctx, head + ind_id + tail)
+        ]
     return AccessGrantRecord(*coordinates, True, tuple(sorted(consenting)))
 
 

@@ -9,6 +9,10 @@ three ways, trading write fan-out against read fan-out:
   rws   key = ind_id|wd_id|role_id|time_id   value = set of res_id
   rows  key = res_id|ind_id|wd_id|time_id    value = set of role_id
 
+LAYOUTS holds this table, and it is the one place that states it: the
+key codec, the preload grid, the access-request scan and the benchmark
+cells all derive from it.
+
 Role assignments live in a separate keyspace so watchdog traffic never
 collides with consent traffic:
 
@@ -30,6 +34,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 TOKEN_PATTERN = re.compile(r"[A-Za-z0-9_-]+\Z")
 # a whole key: one or more tokens joined by the separator
@@ -85,26 +91,29 @@ class ConsentFact:
         return self
 
 
-def iws_key(res_id: str, wd_id: str, role_id: str, time_id: str) -> str:
-    return SEPARATOR.join((res_id, wd_id, role_id, time_id))
+class Layout(NamedTuple):
+    segments: tuple  # the ConsentFact fields the key joins, in segment order
+    member: str  # the ConsentFact field that joins the value set
 
 
-def rws_key(ind_id: str, wd_id: str, role_id: str, time_id: str) -> str:
-    return SEPARATOR.join((ind_id, wd_id, role_id, time_id))
+LAYOUTS = {
+    WorldStateDesign.IWS: Layout(("res_id", "wd_id", "role_id", "time_id"), "ind_id"),
+    WorldStateDesign.RWS: Layout(("ind_id", "wd_id", "role_id", "time_id"), "res_id"),
+    WorldStateDesign.ROWS: Layout(("res_id", "ind_id", "wd_id", "time_id"), "role_id"),
+}
 
-
-def rows_key(res_id: str, ind_id: str, wd_id: str, time_id: str) -> str:
-    return SEPARATOR.join((res_id, ind_id, wd_id, time_id))
+# one getter pair per design, so encoding runs no Python loop over segments
+_GETTERS = {
+    design: (attrgetter(*layout.segments), attrgetter(layout.member))
+    for design, layout in LAYOUTS.items()
+}
 
 
 def encode_consent_key(design: WorldStateDesign, fact: ConsentFact) -> tuple[str, str]:
     """Return (key, member): where the fact lives and what joins the value set."""
     fact.validate()
-    if design is WorldStateDesign.IWS:
-        return iws_key(fact.res_id, fact.wd_id, fact.role_id, fact.time_id), fact.ind_id
-    if design is WorldStateDesign.RWS:
-        return rws_key(fact.ind_id, fact.wd_id, fact.role_id, fact.time_id), fact.res_id
-    return rows_key(fact.res_id, fact.ind_id, fact.wd_id, fact.time_id), fact.role_id
+    segments, member = _GETTERS[design]
+    return SEPARATOR.join(segments(fact)), member(fact)
 
 
 def encode_role_key(role_id: str, dc_id: str, wd_id: str) -> str:

@@ -128,15 +128,6 @@ class MembershipRegistry:
         # raw batches and state-init: any registered actor may submit
         return payload.actor
 
-    def save_file(self, path) -> None:
-        lines = ["# kind,id[,alias]"]
-        for record in self._records.values():
-            parts = [record.kind.value, record.actor_id]
-            if record.alias is not None:
-                parts.append(record.alias)
-            lines.append(",".join(parts))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     @classmethod
     def load_file(cls, path) -> "MembershipRegistry":
         registry = cls()

@@ -45,7 +45,8 @@ Config file format (one `key = value` per line, '#' comments):
     threads    = 100
 
 plus optional tuning keys: submission_depth, ordered_depth,
-overload_window_s, stall_timeout_s.
+overload_window_s, stall_timeout_s. The two times are seconds, finite,
+and at most threading.TIMEOUT_MAX, the longest wait a queue call takes.
 """
 
 from __future__ import annotations
@@ -127,14 +128,14 @@ class PipelineConfig:
         for name in ("submission_depth", "ordered_depth"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # a wait longer than TIMEOUT_MAX overflows inside the queue calls
+        # after the run's threads have started; NaN fails the comparison
         for name in ("overload_window_s", "stall_timeout_s"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) <= threading.TIMEOUT_MAX:
+                raise ConfigError(
+                    f"{name} must be > 0 and <= {threading.TIMEOUT_MAX:g} seconds"
+                )
         return self
-
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_mapping(read_config(path), where=str(path))
 
     @classmethod
     def from_mapping(cls, values: dict, where: str = "config") -> "PipelineConfig":
@@ -671,6 +672,3 @@ class SyncLedger(_Engine):
     def submit_batch(self, payloads) -> list:
         """Run payloads to final receipts; returns receipts in payload order."""
         return self.run([payloads]).receipts
-
-    def submit_one(self, payload) -> Receipt:
-        return self.submit_batch([payload])[0]

@@ -8,12 +8,13 @@ chain fully replayable: an auditor re-runs the generator from the logged
 parameters instead of reading a million logged writes.
 
 Generation is pure grid enumeration, no RNG involved: keys walk the
-coordinate grid for the chosen design in a fixed segment order and every
-key carries the same shared member set (the first `value_space` tokens of
-the member pool). The walk is one chain of C-level iterators, and the
-state and the replay oracle each install the whole grid in one call with
-a single shared (members, 1) entry, so a preload runs no Python code per
-key. Sharing one entry across keys keeps a million-key preload within
+coordinate grid for the chosen design in its segment order
+(`keys.LAYOUTS`), each segment drawn from the ID pool that POOLS names
+for its field, and every key carries the same shared member set (the
+first `value_space` tokens of the member field's pool). The walk is one
+chain of C-level iterators, and the state and the replay oracle each
+install the whole grid in one call with a single shared (members, 1)
+entry, so a preload runs no Python code per key. Sharing one entry across keys keeps a million-key preload within
 desk memory.
 
 ID pools are fixed-prefix, zero-based: individuals i0.., resources r0..,
@@ -23,12 +24,13 @@ roles d0.., watchdogs w0.., timeframes t0.., consumers c0.. .
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Iterator
 
 from consentledger import wire
-from consentledger.keys import SEPARATOR, KeyCodecError, WorldStateDesign
+from consentledger.keys import LAYOUTS, SEPARATOR, KeyCodecError, WorldStateDesign
 
 
 class PreloadError(ValueError):
@@ -37,6 +39,16 @@ class PreloadError(ValueError):
 
 def make_pool(prefix: str, count: int) -> tuple:
     return tuple(f"{prefix}{i}" for i in range(count))
+
+
+# ConsentFact field -> (its ID pool's prefix, the PreloadSpec count sizing it)
+POOLS = {
+    "ind_id": ("i", "n_individuals"),
+    "res_id": ("r", "n_resources"),
+    "role_id": ("d", "n_roles"),
+    "wd_id": ("w", "n_watchdogs"),
+    "time_id": ("t", "n_timeframes"),
+}
 
 
 @dataclass(frozen=True)
@@ -72,51 +84,23 @@ class PreloadSpec:
             )
         return self
 
+    def _pool(self, field: str) -> tuple:
+        prefix, count_field = POOLS[field]
+        return prefix, getattr(self, count_field)
+
     def key_axes(self) -> tuple:
-        """Pool sizes for the four key segments, in segment order."""
-        if self.design is WorldStateDesign.IWS:
-            return (
-                ("r", self.n_resources),
-                ("w", self.n_watchdogs),
-                ("d", self.n_roles),
-                ("t", self.n_timeframes),
-            )
-        if self.design is WorldStateDesign.RWS:
-            return (
-                ("i", self.n_individuals),
-                ("w", self.n_watchdogs),
-                ("d", self.n_roles),
-                ("t", self.n_timeframes),
-            )
-        return (
-            ("r", self.n_resources),
-            ("i", self.n_individuals),
-            ("w", self.n_watchdogs),
-            ("t", self.n_timeframes),
-        )
+        """(prefix, count) of the four key segments' pools, in segment order."""
+        return tuple(map(self._pool, LAYOUTS[self.design].segments))
 
     def grid_size(self) -> int:
-        size = 1
-        for _, count in self.key_axes():
-            size *= count
-        return size
+        return math.prod(count for _, count in self.key_axes())
 
     def member_pool_size(self) -> int:
-        if self.design is WorldStateDesign.IWS:
-            return self.n_individuals
-        if self.design is WorldStateDesign.RWS:
-            return self.n_resources
-        return self.n_roles
-
-    def member_pool_prefix(self) -> str:
-        if self.design is WorldStateDesign.IWS:
-            return "i"
-        if self.design is WorldStateDesign.RWS:
-            return "r"
-        return "d"
+        return self._pool(LAYOUTS[self.design].member)[1]
 
     def shared_members(self) -> frozenset:
-        return frozenset(make_pool(self.member_pool_prefix(), self.value_space))
+        prefix, _ = self._pool(LAYOUTS[self.design].member)
+        return frozenset(make_pool(prefix, self.value_space))
 
     def keys(self) -> Iterator[str]:
         """The first key_space keys of the grid, slowest axis first.

@@ -145,7 +145,7 @@ def test_criterion_1_exact_key_touches():
         registry = population_registry(n, n_watchdogs=1, n_consumers=1)
         for design in WorldStateDesign:
             ledger = SyncLedger(design, registry)
-            receipt = ledger.submit_one(assign_role("w0", "d0", "c0", "w0"))
+            receipt = ledger.submit_batch([assign_role("w0", "d0", "c0", "w0")])[0]
             assert receipt.status is Status.COMMITTED
             fact = ConsentFact("i0", "r0", "d0", "w0", "t0")
             observed[(design, n)] = {
@@ -331,7 +331,7 @@ def test_criterion_5_conflict_serialization():
 
     registry = population_registry(100)
     ledger = SyncLedger(WorldStateDesign.IWS, registry)
-    ledger.submit_one(assign_role("w0", "d0", "c0", "w0"))
+    ledger.submit_batch([assign_role("w0", "d0", "c0", "w0")])
     base = ledger.log.height
     receipts = ledger.submit_batch(
         [

@@ -52,7 +52,7 @@ def _scripted_ledger():
     ]
     # one step per submission so each endorses against the previous commit
     for step in steps:
-        receipt = ledger.submit_one(step)
+        receipt = ledger.submit_batch([step])[0]
         assert receipt.status is Status.COMMITTED
     return ledger, registry
 
@@ -149,7 +149,7 @@ def _preloaded_ledger(design):
     ledger = SyncLedger(design, registry)
     ledger.bootstrap(spec, [assign_role("w0", "d0", "c0", "w0")])
     fact = ConsentFact("i2", "r3", "d2", "w0", "t0")
-    assert ledger.submit_one(grant_consent("i2", fact)).status is Status.COMMITTED
+    assert ledger.submit_batch([grant_consent("i2", fact)])[0].status is Status.COMMITTED
     return ledger, registry
 
 
@@ -269,7 +269,7 @@ def test_indexed_oracle_matches_brute_force(monkeypatch):
         rng = random.Random(900 + seed)
         ledger = SyncLedger(design, registry, PipelineConfig(block_size=5))
         for step in script:
-            assert ledger.submit_one(step).status is Status.COMMITTED
+            assert ledger.submit_batch([step])[0].status is Status.COMMITTED
         payloads = []
         for _ in range(150):
             roll = rng.random()

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from consentledger.audit import ReplayMismatchError, replay_oracle
 from consentledger.bench import (
     CONFLICT_CELLS,
     CSV_COLUMNS,
@@ -16,18 +17,22 @@ from consentledger.bench import (
     WorkloadSpec,
     append_csv,
     build_payloads,
+    conflict_payloads,
     gen_sweep,
     run_bench,
     split_batches,
     table3_spec,
 )
-from consentledger.keys import WorldStateDesign
+from consentledger.blocklog import MemoryLogStore
+from consentledger.keys import ConsentFact, WorldStateDesign, encode_consent_key
 from consentledger.pipeline import PipelineConfig
 from consentledger.preload import apply_preload
-from consentledger.worldstate import VersionedWorldState
+from consentledger.transactions import grant_consent
+from consentledger.worldstate import VersionedWorldState, digest_entries
 
 IWS = WorldStateDesign.IWS
 RWS = WorldStateDesign.RWS
+ROWS = WorldStateDesign.ROWS
 
 
 def test_sweep_shapes():
@@ -57,6 +62,33 @@ def test_table3_spec_key_and_value_spaces():
     assert rws.key_space == 20_000 and rws.value_space == 200
     small = table3_spec(RWS, n_res=30, n_ind=50)
     assert small.key_space == 50 and small.value_space == 30
+    # rows keys every (resource, individual) pair; the member is the one role
+    rows = table3_spec(ROWS, n_res=200, n_ind=1_000)
+    assert rows.key_space == 200 * 1_000 and rows.value_space == 1
+    rows_small = table3_spec(ROWS, n_res=30, n_ind=50)
+    assert rows_small.key_space == 1_500 and rows_small.value_space == 1
+
+
+@pytest.mark.parametrize(
+    "design, expected",
+    [
+        # k individuals consent for the same (res, wd, role, time)
+        (IWS, [("i0", "r0", "d0"), ("i1", "r0", "d0"), ("i2", "r0", "d0")]),
+        # one individual consents for k resources
+        (RWS, [("i0", "r0", "d0"), ("i0", "r1", "d0"), ("i0", "r2", "d0")]),
+        # one individual consents k roles for one resource
+        (ROWS, [("i0", "r0", "d0"), ("i0", "r0", "d1"), ("i0", "r0", "d2")]),
+    ],
+    ids=["iws", "rws", "rows"],
+)
+def test_conflict_payloads_share_one_key_per_design(design, expected):
+    spec = WorkloadSpec(kind="conflict", design=design, conflict_k=3, total_txs=3)
+    payloads = conflict_payloads(spec.validate())
+    facts = [ConsentFact(ind, res, role, "w0", "t0") for ind, res, role in expected]
+    assert payloads == [grant_consent(fact.ind_id, fact) for fact in facts]
+    encoded = [encode_consent_key(design, p.fact) for p in payloads]
+    assert len({key for key, _ in encoded}) == 1
+    assert len({member for _, member in encoded}) == 3
 
 
 def test_preload_fills_exactly_key_space():
@@ -143,10 +175,39 @@ def test_run_bench_rws_hits_track_population():
 
 def test_run_bench_same_seed_same_digest():
     spec = table3_spec(IWS, n_res=25, n_ind=10, txs=50, seed=9)
-    first = run_bench(spec, config=_tiny_config())
-    second = run_bench(spec, config=_tiny_config())
-    assert first.state_digest == second.state_digest
+    stores = [MemoryLogStore(), MemoryLogStore()]
+    first, second = [
+        run_bench(spec, config=_tiny_config(), log_store=store) for store in stores
+    ]
+    digests = [digest_entries(replay_oracle(store).entries) for store in stores]
+    assert digests[0] == digests[1]
     assert first.committed == second.committed == 50
+
+
+def test_run_bench_raises_when_live_state_drifts(monkeypatch):
+    spec = WorkloadSpec(
+        kind="write-valuespace",
+        n_individuals=100,
+        n_resources=50,
+        key_space=50,
+        value_space=5,
+        keys_per_tx=5,
+        total_txs=10,
+        seed=3,
+    ).validate()
+    apply_write = VersionedWorldState.apply_write
+    dropped = []
+
+    def drop_first_write(state, key, value):
+        if not dropped:
+            dropped.append(key)
+            return state.version_of(key)
+        return apply_write(state, key, value)
+
+    monkeypatch.setattr(VersionedWorldState, "apply_write", drop_first_write)
+    with pytest.raises(ReplayMismatchError):
+        run_bench(spec, config=_tiny_config())
+    assert len(dropped) == 1
 
 
 def test_run_bench_conflict_cells():
@@ -223,9 +284,29 @@ def test_overloaded_result_reports_zero_tps():
         hits_min=2,
         hits_max=2,
         overloaded=True,
-        state_digest=result.state_digest,
     )
     row = dict(zip(CSV_COLUMNS, fake.to_csv_row()))
     assert row["tps"] == "0.00"
     assert row["overload_flag"] == "1"
     assert row["aborted"] == "25"
+
+
+def test_aborted_column_counts_every_final_non_committed_tx():
+    spec = table3_spec(IWS, n_res=20, n_ind=10, txs=30, seed=1)
+    result = BenchResult(
+        spec=spec,
+        committed=20,
+        aborted=4,
+        rejected=5,
+        cancelled=1,
+        blocks=2,
+        elapsed_s=1.0,
+        tps=20.0,
+        hits_mean=2.0,
+        hits_min=2,
+        hits_max=2,
+        overloaded=False,
+    )
+    row = dict(zip(CSV_COLUMNS, result.to_csv_row()))
+    assert row["aborted"] == str(result.not_committed) == "10"
+    assert int(row["committed"]) + int(row["aborted"]) == int(row["txs"])

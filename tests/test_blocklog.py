@@ -239,7 +239,7 @@ def _mixed_chain() -> list:
         revoke_consent("i0", fact),
         revoke_role("w0", "d0", "c0", "w0"),
     ):
-        assert ledger.submit_one(step).status is Status.COMMITTED
+        assert ledger.submit_batch([step])[0].status is Status.COMMITTED
     receipts = ledger.submit_batch(
         [
             raw_read("i1", ["r0|w0|d0|t0", "d0|c0|w0"]),

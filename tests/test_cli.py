@@ -29,10 +29,13 @@ def _write_scripted_log(tmp_path):
         access_request("c0", "c0", "d0", "w0", "r0", "t0"),
     ]
     for step in steps:
-        ledger.submit_one(step)
+        ledger.submit_batch([step])
     store.close()
     registry_path = tmp_path / "actors.txt"
-    registry.save_file(registry_path)
+    registry_path.write_text(
+        "individual,i0\nindividual,i1\nindividual,i2\nwatchdog,w0\nconsumer,c0\n",
+        encoding="utf-8",
+    )
     return log_path, registry_path, ledger.state.digest()
 
 
@@ -200,6 +203,9 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
         ["bench", "conflict", "--config", "{unbounded}"],
         ["bench", "conflict", "--config", "{policy}", "--endorsers", "5"],
         ["bench", "conflict", "--log-file", "{missing}/chain.log"],
+        # a wait beyond threading.TIMEOUT_MAX would overflow mid-run
+        ["bench", "table3", "--txs", "5", "--config", "{infinite}"],
+        ["bench", "table3", "--txs", "5", "--config", "{huge}"],
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, args):
@@ -212,8 +218,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys, args):
     # --endorsers 5 contradicts the file's policy = 2/3
     policy = tmp_path / "policy.conf"
     policy.write_text("policy = 2/3\n", encoding="utf-8")
+    infinite = tmp_path / "infinite.conf"
+    infinite.write_text("stall_timeout_s = inf\n", encoding="utf-8")
+    huge = tmp_path / "huge.conf"
+    huge.write_text("stall_timeout_s = 1e12\n", encoding="utf-8")
     paths = dict(
-        missing=tmp_path / "missing", malformed=malformed, unbounded=unbounded, policy=policy
+        missing=tmp_path / "missing", malformed=malformed, unbounded=unbounded,
+        policy=policy, infinite=infinite, huge=huge,
     )
     argv = [a.format(**paths) for a in args]
     if argv[0] == "replay":

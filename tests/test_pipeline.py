@@ -28,6 +28,7 @@ from consentledger.pipeline import (
     Status,
     SyncLedger,
     parse_policy,
+    read_config,
 )
 from consentledger.preload import PreloadSpec
 from consentledger.transactions import (
@@ -72,6 +73,11 @@ def test_config_validate_errors():
         dict(overload_window_s=-1.5),
         dict(overload_window_s=float("nan")),
         dict(stall_timeout_s=0),
+        # beyond threading.TIMEOUT_MAX a queue wait overflows mid-run
+        dict(stall_timeout_s=float("inf")),
+        dict(stall_timeout_s=1e12),
+        dict(overload_window_s=float("inf")),
+        dict(overload_window_s=1e12),
     ):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs).validate()
@@ -89,7 +95,7 @@ def test_config_from_file(tmp_path):
         "submission_depth = 600\n",
         encoding="utf-8",
     )
-    cfg = PipelineConfig.from_file(path)
+    cfg = PipelineConfig.from_mapping(read_config(path), where=str(path))
     assert cfg.block_size == 25
     assert cfg.policy_m == 2 and cfg.endorsers == 3
     assert cfg.max_retries == 4
@@ -102,7 +108,7 @@ def test_config_rejects_policy_endorser_mismatch(tmp_path):
     path = tmp_path / "pipeline.conf"
     path.write_text("policy = 1/2\nendorsers = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_file(path)
+        PipelineConfig.from_mapping(read_config(path), where=str(path))
 
 
 def test_config_rejects_unknown_and_malformed_keys(tmp_path):
@@ -115,7 +121,7 @@ def test_config_rejects_unknown_and_malformed_keys(tmp_path):
     path = tmp_path / "pipeline.conf"
     path.write_text("block_size\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_file(path)
+        PipelineConfig.from_mapping(read_config(path), where=str(path))
 
 
 def test_endorsement_does_not_touch_state():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from consentledger.keys import WorldStateDesign, iws_key, rows_key, rws_key
+from consentledger.keys import WorldStateDesign
 from consentledger.preload import PreloadSpec, apply_preload
 from consentledger.worldstate import VersionedWorldState
 
@@ -13,26 +13,26 @@ COUNTS = dict(n_individuals=3, n_resources=4, n_roles=3, n_watchdogs=2, n_timefr
 
 
 def _reference_grid(spec: PreloadSpec) -> list:
-    """The grid by nested loops over the key codec, slowest axis first."""
+    """The grid by nested loops in each layout's segment order, slowest first."""
     keys = []
     if spec.design is WorldStateDesign.IWS:
         for r in range(spec.n_resources):
             for w in range(spec.n_watchdogs):
                 for d in range(spec.n_roles):
                     for t in range(spec.n_timeframes):
-                        keys.append(iws_key(f"r{r}", f"w{w}", f"d{d}", f"t{t}"))
+                        keys.append(f"r{r}|w{w}|d{d}|t{t}")
     elif spec.design is WorldStateDesign.RWS:
         for i in range(spec.n_individuals):
             for w in range(spec.n_watchdogs):
                 for d in range(spec.n_roles):
                     for t in range(spec.n_timeframes):
-                        keys.append(rws_key(f"i{i}", f"w{w}", f"d{d}", f"t{t}"))
+                        keys.append(f"i{i}|w{w}|d{d}|t{t}")
     else:
         for r in range(spec.n_resources):
             for i in range(spec.n_individuals):
                 for w in range(spec.n_watchdogs):
                     for t in range(spec.n_timeframes):
-                        keys.append(rows_key(f"r{r}", f"i{i}", f"w{w}", f"t{t}"))
+                        keys.append(f"r{r}|i{i}|w{w}|t{t}")
     return keys[: spec.key_space]
 
 
