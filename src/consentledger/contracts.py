@@ -28,6 +28,7 @@ from consentledger.keys import (
     ROLE_REVOKED,
     SEPARATOR,
     WorldStateDesign,
+    consent_key,
     encode_consent_key,
     encode_role_key,
     validate_token,
@@ -90,8 +91,7 @@ def _access_request(ctx: SimulationContext, payload: TransactionPayload,
         return AccessGrantRecord(*coordinates, granted=False)
     segments, member = LAYOUTS[design]
     if member == "ind_id":
-        key = SEPARATOR.join([getattr(payload, name) for name in segments])
-        consenting = _member_set(ctx, key)
+        consenting = _member_set(ctx, consent_key(design, payload))
     else:
         # the key's other segments come from the request; the scan fills
         # in each individual between them

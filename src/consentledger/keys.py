@@ -109,11 +109,15 @@ _GETTERS = {
 }
 
 
+def consent_key(design: WorldStateDesign, source) -> str:
+    """Join the design's key segments, read by name from a fact or a request."""
+    return SEPARATOR.join(_GETTERS[design][0](source))
+
+
 def encode_consent_key(design: WorldStateDesign, fact: ConsentFact) -> tuple[str, str]:
     """Return (key, member): where the fact lives and what joins the value set."""
     fact.validate()
-    segments, member = _GETTERS[design]
-    return SEPARATOR.join(segments(fact)), member(fact)
+    return consent_key(design, fact), _GETTERS[design][1](fact)
 
 
 def encode_role_key(role_id: str, dc_id: str, wd_id: str) -> str:
