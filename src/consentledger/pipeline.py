@@ -44,9 +44,9 @@ Config file format (one `key = value` per line, '#' comments):
     timeout_ms = 50
     threads    = 100
 
-plus optional tuning keys: submission_depth, ordered_depth,
-overload_window_s, stall_timeout_s. The two times are seconds, finite,
-and at most threading.TIMEOUT_MAX, the longest wait a queue call takes.
+plus optional tuning keys: submission_depth, overload_window_s,
+stall_timeout_s. The two times are seconds, finite, and at most
+threading.TIMEOUT_MAX, the longest wait a queue call takes.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from consentledger.transactions import (
     endorsement_stub,
     state_init,
 )
+from consentledger.wire import WireError
 from consentledger.worldstate import (
     ReadWriteSet,
     SimulationContext,
@@ -95,6 +96,10 @@ class PipelineFault(RuntimeError):
     """Raised when a pipeline worker thread dies with an exception."""
 
 
+# depth of the queue from the endorser to the committer
+ORDERED_DEPTH = 512
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     block_size: int = 100
@@ -104,7 +109,6 @@ class PipelineConfig:
     client_threads: int = 100
     block_timeout_ms: int = 50
     submission_depth: int = 8000
-    ordered_depth: int = 512
     overload_window_s: float = 5.0
     stall_timeout_s: float = 120.0
 
@@ -125,9 +129,8 @@ class PipelineConfig:
             raise ConfigError("timeout_ms must be >= 1")
         # a queue.Queue with maxsize <= 0 is unbounded, which would defeat
         # the overload model
-        for name in ("submission_depth", "ordered_depth"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if self.submission_depth < 1:
+            raise ConfigError("submission_depth must be >= 1")
         # a wait longer than TIMEOUT_MAX overflows inside the queue calls
         # after the run's threads have started; NaN fails the comparison
         for name in ("overload_window_s", "stall_timeout_s"):
@@ -146,7 +149,6 @@ class PipelineConfig:
             "timeout_ms": "block_timeout_ms",
             "threads": "client_threads",
             "submission_depth": "submission_depth",
-            "ordered_depth": "ordered_depth",
         }
         float_keys = {
             "overload_window_s": "overload_window_s",
@@ -416,7 +418,8 @@ class _Engine:
             )
         except EndorsementRejected as exc:
             reason = exc.reason
-        except (ContractError, KeyCodecError) as exc:
+        except (ContractError, KeyCodecError, WireError) as exc:
+            # WireError: a raw write's member that no list can carry
             reason = f"contract: {exc}"
         return _receipt(pending, Status.REJECTED, reason=reason)
 
@@ -455,7 +458,7 @@ class LedgerHarness(_Engine):
             return stats
 
         submission_q = queue.Queue(maxsize=cfg.submission_depth)
-        ordered_q = queue.Queue(maxsize=cfg.ordered_depth)
+        ordered_q = queue.Queue(maxsize=ORDERED_DEPTH)
         # final receipts, committer verdicts and worker exceptions
         receipt_q = queue.Queue()
 

@@ -330,8 +330,7 @@ def endorsement_stub(payload_bytes: bytes, rwset_bytes: bytes, endorser_ids) -> 
     h = hashlib.sha256(b"endorse-v1")
     wire.hash_chunk(h, payload_bytes)
     wire.hash_chunk(h, rwset_bytes)
-    for endorser in endorser_ids:
-        h.update(wire.pack_str(endorser))
+    h.update(wire.pack_strs(endorser_ids))
     return h.hexdigest()
 
 

@@ -2,8 +2,8 @@
 
 All multi-byte integers are big-endian. A "chunk" is a u32 length followed
 by that many bytes; strings are chunks of UTF-8, and a list of strings is
-a u32 count followed by that many strings. A list of (string, u64) pairs
-is a u32 count followed by each string with its u64 right after it.
+one string, its items joined on `,` (`""` is the empty list). No item may
+be empty or hold `,`, so every list reads back as the items written.
 Readers must consume the exact length and fail loudly on truncation, so
 a single flipped length byte cannot silently shift the frame.
 """
@@ -47,27 +47,16 @@ def pack_str(text: str) -> bytes:
 
 
 def pack_strs(items) -> bytes:
-    """A u32 count, then each item as a string (read by `Reader.take_strs`)."""
-    out = [_U32.pack(len(items))]
-    # a call per item, not an inlined loop: the loop kept each encoded item
-    # alive into the next iteration, and the interleaved small objects
-    # raised peak RSS by 4 MB on access records with 1,000 members
-    out += [pack_str(text) for text in items]
-    return b"".join(out)
+    """The items joined on `,` as one string (read by `Reader.take_strs`).
 
-
-def pack_str_u64s(pairs) -> bytes:
-    """A u32 count, then per (text, number) pair the string and the u64
-    (read by `Reader.take_str_u64s`)."""
-    pack32, pack64 = _U32.pack, _U64.pack
-    # one buffer, grown in place: no list of per-pair pieces is held
-    out = bytearray(pack32(len(pairs)))
-    for text, number in pairs:
-        data = text.encode("utf-8")
-        out += pack32(len(data))
-        out += data
-        out += pack64(number)
-    return bytes(out)
+    Raises WireError for an empty item or one that holds `,`: neither
+    would read back as itself.
+    """
+    text = ",".join(items)
+    # n items join with n - 1 commas; any more came from inside an item
+    if items and ("" in items or text.count(",") != len(items) - 1):
+        raise WireError("list items must be non-empty and hold no ','")
+    return pack_str(text)
 
 
 def decode_exact(data: bytes, decode):
@@ -157,62 +146,14 @@ class Reader:
             raise WireError(f"chunk is not valid UTF-8: {exc}") from exc
 
     def take_strs(self) -> tuple:
-        """A u32 count, then that many strings (written by `pack_strs`)."""
-        count = self.take_u32()
-        data, pos, end = self._data, self._pos, len(self._data)
-        unpack = _U32.unpack_from
-        items = []
-        try:
-            # one bounds check per length field and per string, as take_str
-            # does, without a method call per string
-            for _ in range(count):
-                if pos + 4 > end:
-                    raise _truncated(4, pos, end - pos)
-                (n,) = unpack(data, pos)
-                pos += 4
-                if pos + n > end:
-                    raise _truncated(n, pos, end - pos)
-                items.append(data[pos : pos + n].decode("utf-8"))
-                pos += n
-        except UnicodeDecodeError as exc:
-            raise WireError(f"chunk is not valid UTF-8: {exc}") from exc
-        self._pos = pos
-        return tuple(items)
-
-    def take_str_u64s(self) -> tuple:
-        """A u32 count, then that many (string, u64) pairs (written by
-        `pack_str_u64s`)."""
-        count = self.take_u32()
-        data, end = self._data, len(self._data)
-        unpack32, unpack64 = _U32.unpack_from, _U64.unpack_from
-
-        def pairs():
-            # the bounds checks of take_str and take_u64, inlined
-            pos = self._pos
-            for _ in range(count):
-                if pos + 4 > end:
-                    raise _truncated(4, pos, end - pos)
-                (n,) = unpack32(data, pos)
-                pos += 4
-                if pos + n > end:
-                    raise _truncated(n, pos, end - pos)
-                text = data[pos : pos + n].decode("utf-8")
-                pos += n
-                if pos + 8 > end:
-                    raise _truncated(8, pos, end - pos)
-                yield text, unpack64(data, pos)[0]
-                pos += 8
-            self._pos = pos
-
-        try:
-            # tuple() over a generator grows one allocation to size. A list
-            # copied into a tuple takes small tuples from CPython's free
-            # list instead; after replaying single-read sets that list ran
-            # short, which moved the next cyclic collection into the short
-            # set-up phase that follows (3 ms of a 5 ms consent-mix set-up)
-            return tuple(pairs())
-        except UnicodeDecodeError as exc:
-            raise WireError(f"chunk is not valid UTF-8: {exc}") from exc
+        """One string of items joined on `,` (written by `pack_strs`)."""
+        text = self.take_str()
+        items = tuple(text.split(",")) if text else ()
+        # a leading, trailing or doubled ',': pack_strs writes no empty
+        # item, so these bytes could not be reserialized
+        if "" in items:
+            raise WireError("empty item in a list")
+        return items
 
     def remaining(self) -> int:
         return len(self._data) - self._pos

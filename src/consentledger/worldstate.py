@@ -9,12 +9,15 @@ invalidates the transactions that observed its absence.
 A value is either a frozenset of member tokens (consent sets) or a short
 string marker (role assignments). Canonical value bytes, used for
 hashing and on-disk records, are tagged: 0x01 marker string, 0x02 sorted
-member set.
+member set (one `wire` string list). A read set is stored as two
+columns: its keys as one `wire` string list, then its versions as one
+chunk of big-endian u64s, 8 bytes per key.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -98,11 +101,20 @@ class ReadWriteSet:
         return count
 
     def to_bytes(self) -> bytes:
-        return wire.pack_str_u64s(self.reads) + pack_writes(self.writes)
+        keys, versions = zip(*self.reads) if self.reads else ((), ())
+        column = struct.pack(f">{len(versions)}Q", *versions)
+        return wire.pack_strs(keys) + wire.pack_chunk(column) + pack_writes(self.writes)
 
     @classmethod
     def from_reader(cls, reader: wire.Reader) -> "ReadWriteSet":
-        return cls(reads=reader.take_str_u64s(), writes=take_writes(reader))
+        keys = reader.take_strs()
+        column = reader.take_chunk()
+        if len(column) != 8 * len(keys):
+            raise wire.WireError(
+                f"{len(keys)} read keys need {8 * len(keys)} version bytes, got {len(column)}"
+            )
+        versions = struct.unpack(f">{len(keys)}Q", column)
+        return cls(reads=tuple(zip(keys, versions)), writes=take_writes(reader))
 
 
 class VersionedWorldState:
@@ -152,26 +164,25 @@ class VersionedWorldState:
         self.write_count += len(loaded)
         return len(loaded)
 
-    def digest(self) -> str:
-        """Order-independent SHA-256 over (key, value, version) triples."""
-        return digest_entries(self._entries)
-
 
 def digest_entries(entries: dict) -> str:
-    """Order-independent SHA-256 over a key -> (value, version) map."""
+    """Order-independent SHA-256 over a key -> (value, version) map.
+
+    Two levels: each distinct value object is hashed once, then, per key
+    in sorted order, the digest takes the key as a string, its value's
+    32-byte hash and its version as a u64.
+    """
     h = hashlib.sha256()
-    # preloads share one value object across many keys: serialize each
-    # distinct object once instead of once per key
-    by_object: dict = {}
+    # preloads share one value object across many keys, and a value can
+    # hold thousands of members: hash each object once, not once per key
+    value_hashes: dict = {}
     for key in sorted(entries):
         value, version = entries[key]
-        encoded = by_object.get(id(value))
-        if encoded is None:
-            encoded = value_to_bytes(value)
-            by_object[id(value)] = encoded
-        h.update(wire.pack_str(key))
-        h.update(wire.pack_chunk(encoded))
-        h.update(wire.pack_u64(version))
+        value_hash = value_hashes.get(id(value))
+        if value_hash is None:
+            value_hash = hashlib.sha256(value_to_bytes(value)).digest()
+            value_hashes[id(value)] = value_hash
+        h.update(wire.pack_str(key) + value_hash + wire.pack_u64(version))
     return h.hexdigest()
 
 

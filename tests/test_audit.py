@@ -185,7 +185,7 @@ def test_replay_check_on_preloaded_chain(design):
     ledger, registry = _preloaded_ledger(design)
     report = replay_check(ledger.log.store, ledger.state, registry=registry)
     assert report.clean()
-    assert digest_entries(report.entries) == ledger.state.digest()
+    assert digest_entries(report.entries) == digest_entries(dict(ledger.state.items()))
 
     # an equal value held in a distinct object still matches
     key = _first_key(ledger.state)

@@ -10,6 +10,7 @@ from consentledger.keys import ConsentFact, WorldStateDesign
 from consentledger.membership import population_registry
 from consentledger.pipeline import PipelineConfig, SyncLedger
 from consentledger.transactions import access_request, assign_role, grant_consent
+from consentledger.worldstate import digest_entries
 
 
 def _write_scripted_log(tmp_path):
@@ -36,7 +37,7 @@ def _write_scripted_log(tmp_path):
         "individual,i0\nindividual,i1\nindividual,i2\nwatchdog,w0\nconsumer,c0\n",
         encoding="utf-8",
     )
-    return log_path, registry_path, ledger.state.digest()
+    return log_path, registry_path, digest_entries(dict(ledger.state.items()))
 
 
 def test_bench_conflict_sweep_with_csv_and_logs(tmp_path, capsys):
@@ -214,7 +215,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys, args):
     malformed.write_text("individual\n", encoding="utf-8")
     # a depth of 0 would make an unbounded queue
     unbounded = tmp_path / "unbounded.conf"
-    unbounded.write_text("ordered_depth = 0\n", encoding="utf-8")
+    unbounded.write_text("submission_depth = 0\n", encoding="utf-8")
     # --endorsers 5 contradicts the file's policy = 2/3
     policy = tmp_path / "policy.conf"
     policy.write_text("policy = 2/3\n", encoding="utf-8")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consentledger import wire
+from consentledger.audit import replay_check
 from consentledger.blocklog import BlockLog, verify_chain
 from consentledger.keys import (
     ConsentFact,
@@ -39,7 +40,7 @@ from consentledger.transactions import (
     revoke_consent,
     revoke_role,
 )
-from consentledger.worldstate import ReadWriteSet
+from consentledger.worldstate import ReadWriteSet, digest_entries
 
 DESIGN = WorldStateDesign.IWS
 
@@ -68,7 +69,6 @@ def test_config_validate_errors():
         dict(client_threads=0),
         dict(block_timeout_ms=0),
         dict(submission_depth=0),
-        dict(ordered_depth=0),
         dict(overload_window_s=0),
         dict(overload_window_s=-1.5),
         dict(overload_window_s=float("nan")),
@@ -118,6 +118,9 @@ def test_config_rejects_unknown_and_malformed_keys(tmp_path):
         PipelineConfig.from_mapping({"block_size": "ten"})
     with pytest.raises(ConfigError):
         PipelineConfig.from_mapping({"block_queue_depth": "8"})
+    # the endorser-to-committer queue depth is a constant, not a setting
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_mapping({"ordered_depth": "512"})
     path = tmp_path / "pipeline.conf"
     path.write_text("block_size\n", encoding="utf-8")
     with pytest.raises(ConfigError):
@@ -332,6 +335,26 @@ def test_threaded_rejection_leaves_no_gap():
     assert stats.finalized() == 11
 
 
+@pytest.mark.parametrize("engine", [SyncLedger, LedgerHarness])
+@pytest.mark.parametrize("member", ["a,b", ""])
+def test_unjoinable_raw_write_member_is_rejected(engine, member):
+    # raw writes are not checked against the token grammar, but a member
+    # set is one `,`-joined string on the wire, so this one cannot be
+    # encoded: a rejection, never a worker fault
+    registry = population_registry(4)
+    cfg = PipelineConfig(block_size=4, client_threads=2, block_timeout_ms=20)
+    ledger = engine(DESIGN, registry, cfg)
+    good = [grant_consent(f.ind_id, f) for f in _facts(8, 4)]
+    bad = raw_write("i0", [("i0|w0|d0|t0", frozenset({"i0", member}))])
+    stats = ledger.run([good[:4] + [bad], good[4:]])
+    assert stats.committed == 8
+    assert stats.rejected == 1
+    assert stats.finalized() == 9
+    (rejected,) = [r for r in stats.receipts if r.status is Status.REJECTED]
+    assert rejected.reason.startswith("contract: ")
+    replay_check(ledger.log.store, ledger.state, registry=registry)
+
+
 def test_threaded_overload_cancels_and_accounts():
     # rws access requests scan every individual's consent key, so the one
     # endorser falls behind two clients and the tiny queue stays full. The
@@ -442,7 +465,7 @@ def _golden_digest(design, policy):
     for _ in range(12):
         batch = [_golden_op(rng, design) for _ in range(rng.randrange(8, 24))]
         receipts += ledger.submit_batch(batch)
-        h.update(ledger.state.digest().encode())
+        h.update(digest_entries(dict(ledger.state.items())).encode())
     for record in ledger.log.store:
         h.update(wire.pack_chunk(record))
     for r in receipts:
@@ -455,12 +478,12 @@ def _golden_digest(design, policy):
 # SHA-256 over state digests, chain records and receipts of one fixed-seed
 # history per design and policy; a change here changes chain bytes or verdicts
 GOLDEN = {
-    ("iws", "1/2"): "4ef8186954d835ef501fbfe2cbfbe9cf772572c13940a96310f02bbe2c33f7e9",
-    ("iws", "2/3"): "833a3e75814531fcbb183ce145022268928774e62e2391a940221dd59c9d5b40",
-    ("rws", "1/2"): "db56ef208ad37877bfd4f0db96357f9365ff2c90db00dbbc10b0d1f9dac9551e",
-    ("rws", "2/3"): "396d060313d701ae268017582acb78d6e7306005f35248947961f654d4f08d35",
-    ("rows", "1/2"): "4d8ced0f96c1cd5eb83cba218297d6afa3e9bebc54e8dea63c3bb0051346d8ab",
-    ("rows", "2/3"): "605f48c32bfe324816c0b3f548225e41d0568d882e5f90e7d8f6cc7c31bfa759",
+    ("iws", "1/2"): "f4a197e4f52908262971d6f9b190cc63edb92b0cbe083cd69f9826bd505cc25f",
+    ("iws", "2/3"): "4525b319cf9e63105fe44963a801d4b88b782157118ded4197997b08c4f1b2a9",
+    ("rws", "1/2"): "115f8c0b1a789e8225ded8351832a658cf11ae8954f7241ae07b1b04bce98d09",
+    ("rws", "2/3"): "39ae84cad8f1a7d56c3a1d1da9a9df6cc4520ea0f56d196d724d4087b8ef894e",
+    ("rows", "1/2"): "1467aafe31e51fa7b089b5747bc39f56a8fdf24ac731f99d5abb1ceb547c8080",
+    ("rows", "2/3"): "c97df59df0fd882584c2c6319f76bd12994a980c65b1118e280ba5ee99bddbb7",
 }
 
 

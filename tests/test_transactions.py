@@ -185,16 +185,25 @@ def test_unknown_kind_code_rejected():
 
 
 def test_take_strs_rejects_bad_lists():
-    two = wire.pack_str("a") + wire.pack_str("b")
-    assert wire.Reader(wire.pack_u32(2) + two).take_strs() == ("a", "b")
-    # a count larger than the strings that follow
+    assert wire.Reader(wire.pack_str("a,b")).take_strs() == ("a", "b")
+    assert wire.Reader(wire.pack_str("")).take_strs() == ()
+    # an empty item at either end or in the middle
+    for text in (",a", "a,", "a,,b", ","):
+        with pytest.raises(wire.WireError):
+            wire.Reader(wire.pack_str(text)).take_strs()
+    # a length past the end, and bytes that are not UTF-8
     with pytest.raises(wire.WireError):
-        wire.Reader(wire.pack_u32(3) + two).take_strs()
-    # a string length past the end, and bytes that are not UTF-8
+        wire.Reader(wire.pack_u32(9) + b"a,b").take_strs()
     with pytest.raises(wire.WireError):
-        wire.Reader(wire.pack_u32(1) + wire.pack_u32(9) + b"abc").take_strs()
-    with pytest.raises(wire.WireError):
-        wire.Reader(wire.pack_u32(1) + wire.pack_chunk(b"\xff")).take_strs()
+        wire.Reader(wire.pack_chunk(b"a,\xff")).take_strs()
+
+
+def test_pack_strs_refuses_items_that_cannot_be_joined():
+    assert wire.pack_strs(()) == wire.pack_str("")
+    assert wire.pack_strs(("a", "b")) == wire.pack_str("a,b")
+    for items in ([""], ["a", ""], ["a,b"], ["a", "b,"], [","]):
+        with pytest.raises(wire.WireError):
+            wire.pack_strs(items)
 
 
 # one valid frame per Reader field method, after one leading u8, so each
@@ -342,27 +351,25 @@ def test_rwset_cut_at_every_offset_raises_only_wire_error():
             _rwset_bytes_reader(data[:cut])
 
 
-def test_take_str_u64s_rejects_bad_lists():
-    two = wire.pack_str("a") + wire.pack_u64(1) + wire.pack_str("b") + wire.pack_u64(2)
-    assert wire.Reader(wire.pack_u32(2) + two).take_str_u64s() == (("a", 1), ("b", 2))
-    assert wire.pack_str_u64s((("a", 1), ("b", 2))) == wire.pack_u32(2) + two
-    # a pair count larger than the pairs that follow
-    with pytest.raises(wire.WireError):
-        wire.Reader(wire.pack_u32(3) + two).take_str_u64s()
-    # a key length past the end, and a version cut short
-    with pytest.raises(wire.WireError):
-        wire.Reader(wire.pack_u32(1) + wire.pack_u32(9) + b"abc").take_str_u64s()
-    with pytest.raises(wire.WireError):
-        wire.Reader(wire.pack_u32(1) + wire.pack_str("a") + bytes(7)).take_str_u64s()
-    # a key that is not UTF-8
-    with pytest.raises(wire.WireError):
-        wire.Reader(
-            wire.pack_u32(1) + wire.pack_chunk(b"\xff") + wire.pack_u64(1)
-        ).take_str_u64s()
+def test_read_version_column_must_match_the_key_count():
+    keys = wire.pack_strs(("a",))
+    writes = wire.pack_u32(0)
+    good = keys + wire.pack_chunk(wire.pack_u64(7)) + writes
+    assert _rwset_bytes_reader(good) == ReadWriteSet(reads=(("a", 7),))
+    assert ReadWriteSet(reads=(("a", 7),)).to_bytes() == good
+    for size in (0, 7, 9):
+        with pytest.raises(wire.WireError):
+            _rwset_bytes_reader(keys + wire.pack_chunk(bytes(size)) + writes)
+    for cut in range(len(good)):
+        with pytest.raises(wire.WireError):
+            _rwset_bytes_reader(good[:cut])
+
+
+READ_KEYS = st.text(min_size=1).filter(lambda key: "," not in key)
 
 
 @given(
-    st.lists(st.tuples(st.text(), st.integers(0, 2**64 - 1))),
+    st.lists(st.tuples(READ_KEYS, st.integers(0, 2**64 - 1))),
     st.lists(st.tuples(st.text(), VALUES), max_size=4),
 )
 def test_rwset_codec_roundtrips_and_is_canonical(reads, writes):
