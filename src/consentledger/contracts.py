@@ -31,6 +31,7 @@ from consentledger.keys import (
     consent_key,
     encode_consent_key,
     encode_role_key,
+    validate_members,
     validate_token,
 )
 from consentledger.transactions import (
@@ -128,6 +129,8 @@ def execute_payload(
         return None
     if kind is PayloadKind.RAW_WRITE:
         for key, value in payload.write_items:
+            if isinstance(value, frozenset):
+                validate_members(value)
             ctx.put(key, value)
         return None
     raise ContractError(f"{kind.label} is applied at commit time, not simulated")

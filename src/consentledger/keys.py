@@ -40,6 +40,8 @@ from typing import NamedTuple
 TOKEN_PATTERN = re.compile(r"[A-Za-z0-9_-]+\Z")
 # a whole key: one or more tokens joined by the separator
 KEY_PATTERN = re.compile(r"[A-Za-z0-9_-]+(?:\|[A-Za-z0-9_-]+)*\Z")
+# a member set's members joined on ",", as the wire frames them
+MEMBERS_PATTERN = re.compile(r"[A-Za-z0-9_-]+(?:,[A-Za-z0-9_-]+)*\Z")
 SEPARATOR = "|"
 
 ROLE_ASSIGNED = "assign"
@@ -70,6 +72,14 @@ def validate_token(token: str, what: str = "token") -> str:
     if not TOKEN_PATTERN.match(token):
         raise KeyCodecError(f"invalid {what} {token!r}: must match [A-Za-z0-9_-]+")
     return token
+
+
+def validate_members(members: frozenset) -> None:
+    """Check every member against the token grammar in one regex call."""
+    joined = ",".join(members)
+    # the count catches a member that holds "," and would match as two
+    if members and (joined.count(",") >= len(members) or not MEMBERS_PATTERN.match(joined)):
+        raise KeyCodecError(f"invalid member in {sorted(members)!r}: must match [A-Za-z0-9_-]+")
 
 
 @dataclass(frozen=True)

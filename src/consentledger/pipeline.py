@@ -5,22 +5,23 @@ by bounded queues; the thread that called `run` settles the receipts:
 
   clients -> [submission queue] -> endorser (authorize, simulate, m-of-k
              stub, in arrival order)
-          -> [ordered queue] -> committer (cuts blocks at block_size, or
-             after block_timeout_ms once the ordered queue runs dry;
-             serial MVCC validation, hash chain append)
-          -> [receipt queue] -> calling thread (final receipts, automatic
-             re-endorsement of aborted transactions up to max_retries)
+          -> [ordered queue] -> committer (cuts a block at block_size,
+             block_timeout_ms after its first transaction, or at once when
+             it holds every transaction not yet final; serial MVCC
+             validation, hash chain append)
+          -> [receipt queue] -> calling thread (settles each block into
+             final receipts or re-endorsements, up to max_retries)
 
 Every in-process endorser would read the same state, and under the GIL
 they would never run in parallel, so one endorser thread signs for the
-whole ring of m endorser ids, picked from the submission seq. Because it
-endorses in FIFO order, each client's transactions reach the committer
-in the order the client submitted them, and the committer only has to
-cut them into blocks, as the block cutter in Fabric's ordering service
-does. A transaction rejected at endorsement gets its receipt and never
-reaches the committer. A retried transaction keeps its submitter's
-(client, seq), which its receipt reports, and re-enters at the tail of
-the submission queue.
+ring of m endorser ids picked from the submission seq, in FIFO order:
+each client's transactions reach the committer in submission order, and
+the committer only cuts blocks (Fabric's BatchSize/BatchTimeout rule
+plus the drain cut). A transaction rejected at endorsement never reaches
+the committer. A retry keeps its submitter's (client, seq) and re-enters
+at the tail of the submission queue. No stage polls: each blocks on its
+queue until an item or the STOP sentinel comes, the committer no longer
+than its batch's deadline.
 
 Both engines share one core: `bootstrap` commits the preload and setup
 blocks, `endorse_pending` turns a payload into an endorsed transaction
@@ -56,6 +57,7 @@ import queue
 import threading
 import time
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -76,7 +78,6 @@ from consentledger.transactions import (
     endorsement_stub,
     state_init,
 )
-from consentledger.wire import WireError
 from consentledger.worldstate import (
     ReadWriteSet,
     SimulationContext,
@@ -98,6 +99,8 @@ class PipelineFault(RuntimeError):
 
 # depth of the queue from the endorser to the committer
 ORDERED_DEPTH = 512
+# queue sentinels: STOP ends a stage, WAKE makes the committer re-check its cut
+STOP, WAKE = object(), object()
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,9 @@ class PipelineConfig:
             raise ConfigError("retries must be >= 0")
         if self.client_threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.block_timeout_ms < 1:
-            raise ConfigError("timeout_ms must be >= 1")
+        # the committer waits out a batch's deadline in one queue call
+        if not 1 <= self.block_timeout_ms <= threading.TIMEOUT_MAX * 1000:
+            raise ConfigError(f"timeout_ms must be >= 1 and <= {threading.TIMEOUT_MAX * 1000:g}")
         # a queue.Queue with maxsize <= 0 is unbounded, which would defeat
         # the overload model
         if self.submission_depth < 1:
@@ -142,30 +146,22 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, values: dict, where: str = "config") -> "PipelineConfig":
-        int_keys = {
-            "block_size": "block_size",
-            "endorsers": "endorsers",
-            "retries": "max_retries",
-            "timeout_ms": "block_timeout_ms",
-            "threads": "client_threads",
-            "submission_depth": "submission_depth",
-        }
-        float_keys = {
-            "overload_window_s": "overload_window_s",
-            "stall_timeout_s": "stall_timeout_s",
+        keys = {  # file key -> (field, type)
+            "block_size": ("block_size", int), "endorsers": ("endorsers", int),
+            "retries": ("max_retries", int), "timeout_ms": ("block_timeout_ms", int),
+            "threads": ("client_threads", int), "submission_depth": ("submission_depth", int),
+            "overload_window_s": ("overload_window_s", float),
+            "stall_timeout_s": ("stall_timeout_s", float),
         }
         updates = {}
         for key, value in values.items():
-            if key in int_keys:
+            if key in keys:
+                name, kind = keys[key]
                 try:
-                    updates[int_keys[key]] = int(value)
+                    updates[name] = kind(value)
                 except ValueError:
-                    raise ConfigError(f"{where}: {key} must be an integer")
-            elif key in float_keys:
-                try:
-                    updates[float_keys[key]] = float(value)
-                except ValueError:
-                    raise ConfigError(f"{where}: {key} must be a number")
+                    what = "an integer" if kind is int else "a number"
+                    raise ConfigError(f"{where}: {key} must be {what}")
             elif key == "policy":
                 updates["policy_m"], policy_k = parse_policy(value)
             else:
@@ -267,6 +263,8 @@ class RunStats:
     elapsed_s: float = 0.0
     overloaded: bool = False
     endorser_counts: Counter = field(default_factory=Counter)
+    # blocks cut by reason: "size", "deadline" or "drain"
+    cuts: Counter = field(default_factory=Counter)
     # keys touched by a committed transaction -> how many committed so
     touches: Counter = field(default_factory=Counter)
     receipts: list = field(default_factory=list)
@@ -418,16 +416,16 @@ class _Engine:
             )
         except EndorsementRejected as exc:
             reason = exc.reason
-        except (ContractError, KeyCodecError, WireError) as exc:
-            # WireError: a raw write's member that no list can carry
+        except (ContractError, KeyCodecError) as exc:
             reason = f"contract: {exc}"
         return _receipt(pending, Status.REJECTED, reason=reason)
 
-    def commit_chunk(self, chunk, stats: RunStats) -> list:
-        """Commit one block; count it and the keys each valid transaction
-        touched in stats. Returns the per-transaction reasons."""
+    def commit_chunk(self, chunk, stats: RunStats, cut: str) -> list:
+        """Commit one block; count it, why it was cut and the keys each valid
+        transaction touched in stats. Returns the per-transaction reasons."""
         _, reasons = commit_block(self.state, self.log, chunk, self.config.policy_m)
         stats.blocks += 1
+        stats.cuts[cut] += 1
         for tx, reason in zip(chunk, reasons):
             if reason == VALID:
                 stats.touches[tx.rwset.touch_count()] += 1
@@ -459,50 +457,38 @@ class LedgerHarness(_Engine):
 
         submission_q = queue.Queue(maxsize=cfg.submission_depth)
         ordered_q = queue.Queue(maxsize=ORDERED_DEPTH)
-        # final receipts, committer verdicts and worker exceptions
+        # final receipts, committed blocks and worker exceptions
         receipt_q = queue.Queue()
 
-        cancel = threading.Event()
-        stop = threading.Event()
+        cancel = threading.Event()  # overload, fault or shutdown
 
-        def guarded(fn):
+        def guarded(fn, inbox=None):
             def runner(*args):
                 try:
                     fn(*args)
                 except Exception as exc:  # fail loud in the calling thread
                     cancel.set()
                     receipt_q.put(exc)
+                    # keep emptying the inbox so that no producer blocks on it
+                    while inbox is not None and inbox.get() is not STOP:
+                        pass
 
             return runner
 
         def cancelled(item) -> None:
             receipt_q.put(_receipt(item, Status.CANCELLED, reason="overload"))
 
-        def offer(q, item, give_up: threading.Event) -> bool:
-            """Put item on q once it has room; False if give_up is set first."""
-            while not give_up.is_set():
-                try:
-                    q.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
         def client_main(client_index: int, payloads) -> None:
             client_id = f"client{client_index}"
             for seq, payload in enumerate(payloads):
                 pending = _Pending(client_id, seq, f"{client_id}-{seq:06d}", payload)
-                if not offer(submission_q, pending, cancel):
+                if cancel.is_set():
                     cancelled(pending)
+                else:
+                    submission_q.put(pending)
 
         def endorser_main() -> None:
-            while True:
-                try:
-                    pending = submission_q.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-                    continue
+            while (pending := submission_q.get()) is not STOP:
                 if cancel.is_set():
                     cancelled(pending)
                     continue
@@ -510,39 +496,40 @@ class LedgerHarness(_Engine):
                 if isinstance(tx, Receipt):
                     receipt_q.put(tx)
                 else:
-                    offer(ordered_q, tx, stop)
-
-        def commit(batch) -> None:
-            reasons = self.commit_chunk(batch, stats)
-            for tx, reason in zip(batch, reasons):
-                receipt_q.put((tx, reason, self.log.height))
+                    ordered_q.put(tx)
 
         def committer_main() -> None:
-            # cuts a block at block_size, or after block_timeout_ms once the
-            # ordered queue has run dry
+            # a batch that holds every transaction not yet final cannot grow:
+            # WAKE, sent after each settled block or receipt, re-checks that
             batch: list = []
             deadline = 0.0
             while True:
+                wait = max(0.0, deadline - time.monotonic()) if batch else None
                 try:
-                    tx = ordered_q.get(timeout=0.01)
+                    tx = ordered_q.get(timeout=wait)
                 except queue.Empty:
-                    if stop.is_set():
-                        return
-                    if batch and time.monotonic() >= deadline:
-                        commit(batch)
-                        batch = []
-                    continue
+                    tx = WAKE
+                if tx is STOP:
+                    return
+                if tx is not WAKE:
+                    if not batch:
+                        deadline = time.monotonic() + cfg.block_timeout_ms / 1000
+                    batch.append(tx)
                 if cancel.is_set():
-                    for item in batch + [tx]:
+                    for item in batch:
                         cancelled(item)
                     batch = []
-                    continue
-                if not batch:
-                    deadline = time.monotonic() + cfg.block_timeout_ms / 1000
-                batch.append(tx)
                 if len(batch) == cfg.block_size:
-                    commit(batch)
-                    batch = []
+                    cut = "size"
+                elif batch and len(batch) == total - stats.finalized():
+                    cut = "drain"
+                elif batch and time.monotonic() >= deadline:
+                    cut = "deadline"
+                else:
+                    continue
+                reasons = self.commit_chunk(batch, stats, cut)
+                receipt_q.put((batch, reasons, self.log.height))
+                batch = []
 
         def monitor_main() -> None:
             # The queue counts as saturated at 95% capacity: producers wake
@@ -550,9 +537,7 @@ class LedgerHarness(_Engine):
             # would flicker and reset the window.
             saturated = max(1, int(submission_q.maxsize * 0.95))
             saturated_since = None
-            while not (cancel.is_set() or stop.is_set()) and any(
-                t.is_alive() for t in client_workers
-            ):
+            while not cancel.wait(0.05) and any(t.is_alive() for t in client_workers):
                 if submission_q.qsize() >= saturated:
                     now = time.monotonic()
                     if saturated_since is None:
@@ -563,21 +548,21 @@ class LedgerHarness(_Engine):
                         return
                 else:
                     saturated_since = None
-                time.sleep(0.05)
 
         client_workers = [
-            threading.Thread(
-                target=guarded(client_main), args=(client_index, payloads), daemon=True
-            )
-            for client_index, payloads in enumerate(batches)
+            threading.Thread(target=guarded(client_main), args=args, daemon=True)
+            for args in enumerate(batches)
         ]
-        threads = client_workers + [
-            threading.Thread(target=guarded(stage), daemon=True)
-            for stage in (monitor_main, endorser_main, committer_main)
+        # each stage with the inbox it takes from until STOP
+        stages = [
+            (threading.Thread(target=guarded(stage, inbox), daemon=True), inbox)
+            for stage, inbox in (
+                (endorser_main, submission_q), (committer_main, ordered_q), (monitor_main, None)
+            )
         ]
 
         started = time.monotonic()
-        for t in threads:
+        for t in client_workers + [t for t, _ in stages]:
             t.start()
         try:
             while stats.finalized() < total:
@@ -590,20 +575,32 @@ class LedgerHarness(_Engine):
                     ) from None
                 if isinstance(item, Exception):
                     raise PipelineFault(f"worker thread failed: {item!r}") from item
-                if not isinstance(item, Receipt):
-                    tx = item[0]
-                    item = self.settle(*item)
-                    if item is None:
-                        if offer(submission_q, _retry(tx), cancel):
-                            continue
-                        item = _receipt(tx, Status.CANCELLED, reason="overload")
-                stats.add(item)
+                if isinstance(item, Receipt):
+                    stats.add(item)
+                else:  # a committed block
+                    batch, reasons, height = item
+                    for tx, reason in zip(batch, reasons):
+                        receipt = self.settle(tx, reason, height)
+                        if receipt is None and not cancel.is_set():
+                            submission_q.put(_retry(tx))
+                        else:
+                            stats.add(receipt or _receipt(tx, Status.CANCELLED, reason="overload"))
+                # what was settled may complete the committer's drain
+                with suppress(queue.Full):  # the committer wakes anyway
+                    ordered_q.put_nowait(WAKE)
             stats.elapsed_s = time.monotonic() - started
         finally:
-            cancel.set()  # stops a faulted or stalled run; harmless once all are final
-            stop.set()
-            for t in threads:
-                t.join(timeout=10.0)
+            # Stops a faulted or stalled run; harmless once all are final.
+            # A stage takes from its inbox until STOP, even after a fault, so
+            # stopping the threads in pipeline order leaves no put blocked.
+            cancel.set()
+            give_up = time.monotonic() + 10.0
+            for t, inbox in [(t, None) for t in client_workers] + stages:
+                left = max(0.0, give_up - time.monotonic())
+                if inbox is not None:
+                    with suppress(queue.Full):
+                        inbox.put(STOP, timeout=left)
+                t.join(timeout=left)
         return stats
 
 
@@ -660,7 +657,9 @@ class SyncLedger(_Engine):
             pending = []
             for start in range(0, len(endorsed), self.config.block_size):
                 chunk = endorsed[start : start + self.config.block_size]
-                reasons = self.commit_chunk(chunk, stats)
+                # a round's short final chunk holds all that is left
+                cut = "size" if len(chunk) == self.config.block_size else "drain"
+                reasons = self.commit_chunk(chunk, stats, cut)
                 for tx, reason in zip(chunk, reasons):
                     receipt = self.settle(tx, reason, self.log.height)
                     if receipt is None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import time
 from collections import Counter
 
@@ -68,6 +69,8 @@ def test_config_validate_errors():
         dict(max_retries=-1),
         dict(client_threads=0),
         dict(block_timeout_ms=0),
+        # the committer waits out a batch's deadline in one queue call
+        dict(block_timeout_ms=10**13),
         dict(submission_depth=0),
         dict(overload_window_s=0),
         dict(overload_window_s=-1.5),
@@ -338,9 +341,8 @@ def test_threaded_rejection_leaves_no_gap():
 @pytest.mark.parametrize("engine", [SyncLedger, LedgerHarness])
 @pytest.mark.parametrize("member", ["a,b", ""])
 def test_unjoinable_raw_write_member_is_rejected(engine, member):
-    # raw writes are not checked against the token grammar, but a member
-    # set is one `,`-joined string on the wire, so this one cannot be
-    # encoded: a rejection, never a worker fault
+    # a member set is one `,`-joined string on the wire, so this one could
+    # not be encoded: a rejection, never a worker fault
     registry = population_registry(4)
     cfg = PipelineConfig(block_size=4, client_threads=2, block_timeout_ms=20)
     ledger = engine(DESIGN, registry, cfg)
@@ -353,6 +355,113 @@ def test_unjoinable_raw_write_member_is_rejected(engine, member):
     (rejected,) = [r for r in stats.receipts if r.status is Status.REJECTED]
     assert rejected.reason.startswith("contract: ")
     replay_check(ledger.log.store, ledger.state, registry=registry)
+
+
+@pytest.mark.parametrize("engine", [SyncLedger, LedgerHarness])
+@pytest.mark.parametrize("member", ["a|b", " x", "é"])
+def test_raw_write_member_outside_the_token_grammar_is_rejected(engine, member):
+    # joinable, but no individual id could be it
+    registry = population_registry(4)
+    cfg = PipelineConfig(block_size=4, client_threads=2, block_timeout_ms=20)
+    ledger = engine(DESIGN, registry, cfg)
+    good = [grant_consent(f.ind_id, f) for f in _facts(8, 4)]
+    bad = raw_write("i0", [("i0|w0|d0|t0", frozenset({"i0", member}))])
+    stats = ledger.run([good[:4] + [bad], good[4:]])
+    assert (stats.committed, stats.rejected, stats.finalized()) == (8, 1, 9)
+    (rejected,) = [r for r in stats.receipts if r.status is Status.REJECTED]
+    assert rejected.reason.startswith("contract: ")
+    assert "i0|w0|d0|t0" not in dict(ledger.state.items())
+    replay_check(ledger.log.store, ledger.state, registry=registry)
+
+
+def test_sync_cuts_full_blocks_at_size_and_the_rest_at_drain():
+    ledger = SyncLedger(DESIGN, population_registry(8), PipelineConfig(block_size=4))
+    stats = ledger.run([[grant_consent(f.ind_id, f) for f in _facts(10, 8)]])
+    assert stats.cuts == {"size": 2, "drain": 1}
+    assert stats.blocks == 3
+
+
+def test_threaded_tail_block_is_cut_at_drain():
+    # nothing more can arrive once the batch holds every transaction that
+    # is not final, so the run never waits out the 10 s deadline
+    cfg = PipelineConfig(block_size=100, block_timeout_ms=10_000)
+    harness = LedgerHarness(DESIGN, population_registry(8), cfg)
+    started = time.monotonic()
+    stats = harness.run([[grant_consent(f.ind_id, f) for f in _facts(5, 8)]])
+    assert time.monotonic() - started < 1.0
+    assert stats.committed == 5
+    assert stats.blocks == 1
+    assert stats.cuts == {"drain": 1}
+
+
+def test_threaded_busy_queue_cuts_at_deadline():
+    # each endorsement takes 2 ms, so transactions reach the committer in a
+    # steady stream; a batch is still cut 20 ms after its first transaction
+    registry = population_registry(8)
+    authorize = registry.authorize
+
+    def slow_authorize(payload):
+        time.sleep(0.002)
+        authorize(payload)
+
+    registry.authorize = slow_authorize
+    cfg = PipelineConfig(block_size=1000, block_timeout_ms=20)
+    harness = LedgerHarness(DESIGN, registry, cfg)
+    stats = harness.run(_batches([grant_consent(f.ind_id, f) for f in _facts(100, 8)], 2))
+    assert stats.cuts["deadline"] >= 2
+    assert sum(stats.cuts.values()) == stats.blocks
+    assert stats.committed == stats.submitted == stats.finalized() == 100
+    replay_check(harness.log.store, harness.state, registry=registry)
+
+
+def test_threaded_runs_return_without_polling_delays():
+    # at the default 50 ms deadline a run that waited for it, or for a
+    # polling stage to notice the end, would take 1 s over 20 runs
+    registry = population_registry(8)
+    payloads = [grant_consent(f.ind_id, f) for f in _facts(4, 8)]
+    started = time.monotonic()
+    for _ in range(20):
+        stats = LedgerHarness(DESIGN, registry).run(_batches(payloads, 2))
+        assert stats.committed == 4
+        assert stats.cuts == {"drain": 1}
+    assert time.monotonic() - started < 1.0
+
+
+def test_threaded_hot_key_conflicts_with_a_small_retry_budget():
+    registry = population_registry(4)
+    cfg = PipelineConfig(block_size=4, block_timeout_ms=10, max_retries=2)
+    harness = LedgerHarness(DESIGN, registry, cfg)
+    fact = ConsentFact("i0", "r0", "d0", "w0", "t0")
+    stats = harness.run(_batches([grant_consent("i0", fact)] * 12, 3))
+    assert stats.committed + stats.aborted == stats.finalized() == 12
+    assert stats.aborted > 0
+    assert all(r.retry_count == 2 for r in stats.receipts if r.status is Status.ABORTED)
+    assert sum(stats.cuts.values()) == stats.blocks
+    assert dict(harness.state.items())["r0|w0|d0|t0"] == (frozenset({"i0"}), stats.committed)
+    replay_check(harness.log.store, harness.state, registry=registry)
+
+
+def test_threaded_cut_rule_under_fast_thread_switching():
+    # the committer reads the count the settling thread keeps to find a
+    # drain; under a tiny switch interval, with more clients than cores and
+    # hot keys that retry, every transaction still ends exactly once and
+    # every committed write shows in the key versions
+    registry = population_registry(8)
+    cfg = PipelineConfig(block_size=7, block_timeout_ms=5, max_retries=3)
+    harness = LedgerHarness(DESIGN, registry, cfg)
+    facts = [ConsentFact(f"i{i % 8}", f"r{i % 5}", "d0", "w0", "t0") for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        started = time.monotonic()
+        stats = harness.run(_batches([grant_consent(f.ind_id, f) for f in facts], 8))
+        assert time.monotonic() - started < 30
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats.committed + stats.aborted == stats.finalized() == 200
+    assert sum(stats.cuts.values()) == stats.blocks
+    assert sum(version for _, (_, version) in harness.state.items()) == stats.committed
+    replay_check(harness.log.store, harness.state, registry=registry)
 
 
 def test_threaded_overload_cancels_and_accounts():
