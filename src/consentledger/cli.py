@@ -16,11 +16,10 @@ written kind:id, e.g. individual:i4, consumer:c0, watchdog:w0. verify
 exits 1 when the chain fails its hash walk, replay exits 1 when
 re-execution disagrees with the stored flags or answers. audit, verify
 and replay only read the log: a missing or empty log file exits 2 and is
-not created. A missing or malformed --registry or --config file (a time
-that is not a finite number of seconds up to threading.TIMEOUT_MAX
-included) and a bad --policy also exit 2, and so does a bench --log-file
-in a missing directory or one that already holds a chain, before any
-cell runs.
+not created. A missing or malformed --registry or --config file (an
+unknown key, or a value that is not an integer in range) and a bad
+--policy also exit 2, and so does a bench --log-file in a missing
+directory or one that already holds a chain, before any cell runs.
 """
 
 from __future__ import annotations

@@ -1,37 +1,39 @@
 """Execute-order-validate pipeline over the block log.
 
 Client threads, one endorser thread and one committer thread, connected
-by bounded queues; the thread that called `run` settles the receipts:
+by bounded queues; the thread that called `run` collects the receipts:
 
   clients -> [submission queue] -> endorser (authorize, simulate, m-of-k
-             stub, in arrival order)
+             stub, in arrival order; a rejection receipt passes on in
+             the transaction's place)
           -> [ordered queue] -> committer (cuts a block at block_size,
              block_timeout_ms after its first transaction, or at once when
              it holds every transaction not yet final; serial MVCC
-             validation, hash chain append)
-          -> [receipt queue] -> calling thread (settles each block into
-             final receipts or re-endorsements, up to max_retries)
+             validation, hash chain append; settles the block into final
+             receipts and endorses each retry again, up to max_retries)
+          -> [receipt queue] -> calling thread (collects receipts)
 
 Every in-process endorser would read the same state, and under the GIL
 they would never run in parallel, so one endorser thread signs for the
 ring of m endorser ids picked from the submission seq, in FIFO order:
 each client's transactions reach the committer in submission order, and
 the committer only cuts blocks (Fabric's BatchSize/BatchTimeout rule
-plus the drain cut). A transaction rejected at endorsement never reaches
-the committer. A retry keeps its submitter's (client, seq) and re-enters
-at the tail of the submission queue. No stage polls: each blocks on its
-queue until an item or the STOP sentinel comes, the committer no longer
-than its batch's deadline.
+plus the drain cut). The committer issues or forwards every final
+receipt until a cancel, so its own count tells it when nothing more can
+arrive. A retry keeps its submitter's (client, seq); the committer
+endorses it against the state it has just committed, and it opens the
+next batch. No stage polls: each blocks on its queue until an item or
+the STOP sentinel comes, the committer no longer than its batch's
+deadline.
 
 Both engines share one core: `bootstrap` commits the preload and setup
 blocks, `endorse_pending` turns a payload into an endorsed transaction
-or a rejection receipt, `commit_chunk` commits one block and counts it,
-and `settle` turns a committer verdict into a final receipt or a retry.
-The threaded runner only moves items between queues; `SyncLedger` runs
-the same steps in rounds.
+or a rejection receipt, and `commit_chunk` commits one block, counts it
+and settles it into final receipts and retries. `SyncLedger` runs the
+same steps in rounds.
 
 Overload: a monitor samples the submission queue while clients are still
-submitting; if it stays full for overload_window_s consecutive seconds
+submitting; if it stays full for OVERLOAD_WINDOW_S consecutive seconds
 the run is declared overloaded and cancelled. Every in-flight
 transaction then drains to a final cancelled receipt, so accounting stays
 exact: committed + aborted + rejected + cancelled == submitted.
@@ -44,10 +46,6 @@ Config file format (one `key = value` per line, '#' comments):
     retries    = 16
     timeout_ms = 50
     threads    = 100
-
-plus optional tuning keys: submission_depth, overload_window_s,
-stall_timeout_s. The two times are seconds, finite, and at most
-threading.TIMEOUT_MAX, the longest wait a queue call takes.
 """
 
 from __future__ import annotations
@@ -90,17 +88,23 @@ class ConfigError(ValueError):
 
 
 class PipelineStallError(RuntimeError):
-    """Raised when a run gets no receipt for stall_timeout_s."""
+    """Raised when a run gets no receipt for STALL_TIMEOUT_S."""
 
 
 class PipelineFault(RuntimeError):
     """Raised when a pipeline worker thread dies with an exception."""
 
 
+# depth of the queue every client feeds
+SUBMISSION_DEPTH = 8000
 # depth of the queue from the endorser to the committer
 ORDERED_DEPTH = 512
-# queue sentinels: STOP ends a stage, WAKE makes the committer re-check its cut
-STOP, WAKE = object(), object()
+# seconds the submission queue stays full before a run is overloaded
+OVERLOAD_WINDOW_S = 5.0
+# seconds without a receipt before a run is declared stalled
+STALL_TIMEOUT_S = 120.0
+# queue sentinel that ends a stage
+STOP = object()
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,6 @@ class PipelineConfig:
     max_retries: int = 16
     client_threads: int = 100
     block_timeout_ms: int = 50
-    submission_depth: int = 8000
-    overload_window_s: float = 5.0
-    stall_timeout_s: float = 120.0
 
     def validate(self) -> "PipelineConfig":
         if self.block_size < 1:
@@ -131,37 +132,21 @@ class PipelineConfig:
         # the committer waits out a batch's deadline in one queue call
         if not 1 <= self.block_timeout_ms <= threading.TIMEOUT_MAX * 1000:
             raise ConfigError(f"timeout_ms must be >= 1 and <= {threading.TIMEOUT_MAX * 1000:g}")
-        # a queue.Queue with maxsize <= 0 is unbounded, which would defeat
-        # the overload model
-        if self.submission_depth < 1:
-            raise ConfigError("submission_depth must be >= 1")
-        # a wait longer than TIMEOUT_MAX overflows inside the queue calls
-        # after the run's threads have started; NaN fails the comparison
-        for name in ("overload_window_s", "stall_timeout_s"):
-            if not 0 < getattr(self, name) <= threading.TIMEOUT_MAX:
-                raise ConfigError(
-                    f"{name} must be > 0 and <= {threading.TIMEOUT_MAX:g} seconds"
-                )
         return self
 
     @classmethod
     def from_mapping(cls, values: dict, where: str = "config") -> "PipelineConfig":
-        keys = {  # file key -> (field, type)
-            "block_size": ("block_size", int), "endorsers": ("endorsers", int),
-            "retries": ("max_retries", int), "timeout_ms": ("block_timeout_ms", int),
-            "threads": ("client_threads", int), "submission_depth": ("submission_depth", int),
-            "overload_window_s": ("overload_window_s", float),
-            "stall_timeout_s": ("stall_timeout_s", float),
+        fields = {  # file key -> field, every one an integer
+            "block_size": "block_size", "endorsers": "endorsers", "retries": "max_retries",
+            "timeout_ms": "block_timeout_ms", "threads": "client_threads",
         }
         updates = {}
         for key, value in values.items():
-            if key in keys:
-                name, kind = keys[key]
+            if key in fields:
                 try:
-                    updates[name] = kind(value)
+                    updates[fields[key]] = int(value)
                 except ValueError:
-                    what = "an integer" if kind is int else "a number"
-                    raise ConfigError(f"{where}: {key} must be {what}")
+                    raise ConfigError(f"{where}: {key} must be an integer")
             elif key == "policy":
                 updates["policy_m"], policy_k = parse_policy(value)
             else:
@@ -291,12 +276,6 @@ class RunStats:
         return max(self.touches, default=0)
 
 
-class EndorsementRejected(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def simulate_payload(
     state: VersionedWorldState,
     payload: TransactionPayload,
@@ -320,14 +299,12 @@ def co_endorse(
     """Authorize, simulate, and sign the result as every listed endorser.
 
     Every endorser would read the same in-process state, so one
-    simulation stands for all of them. Raises EndorsementRejected for
-    authorization failures.
+    simulation stands for all of them. Raises AuthorizationError when the
+    submitter may not act, and ContractError or KeyCodecError when the
+    payload cannot execute.
     """
     payload = pending.payload
-    try:
-        registry.authorize(payload)
-    except AuthorizationError as exc:
-        raise EndorsementRejected(f"authorization: {exc.reason}")
+    registry.authorize(payload)
     rwset, result = simulate_payload(state, payload, design, roster)
     endorser_ids = tuple(endorser_ids)
     # encoded once: the stub hashes these bytes and the block record
@@ -355,7 +332,7 @@ def _endorser_ring(endorser_ids, start: int, m: int):
 
 
 class _Engine:
-    """Set-up and the endorse, commit and settle steps both engines share."""
+    """Set-up and the endorse and commit steps both engines share."""
 
     def __init__(
         self,
@@ -383,7 +360,7 @@ class _Engine:
         Returns the number of blocks appended.
         """
         start_height = self.log.height
-        unreported = RunStats()  # set-up belongs to no run
+        unreported = Counter()  # set-up belongs to no run
 
         def commit_alone(tx: EndorsedTransaction, what: str) -> None:
             _, reasons = commit_block(self.state, self.log, (tx,), self.config.policy_m)
@@ -401,43 +378,46 @@ class _Engine:
             commit_alone(tx, f"setup payload {i}")
         return self.log.height - start_height
 
-    def endorse_pending(self, pending: _Pending, stats: RunStats):
+    def endorse_pending(self, pending: _Pending, rings: Counter):
         """Endorse on the ring of m endorsers picked by the submission seq.
 
-        Counts the ring in stats. Returns the EndorsedTransaction, or a
-        REJECTED receipt when the payload fails authorization or cannot
-        execute.
+        Counts the ring's endorser ids in rings. Returns the
+        EndorsedTransaction, or a REJECTED receipt when the payload fails
+        authorization or cannot execute.
         """
         ring = _endorser_ring(self.endorser_ids, pending.seq, self.config.policy_m)
-        stats.endorser_counts.update(ring)
+        rings.update(ring)
         try:
             return co_endorse(
                 pending, ring, self.state, self.registry, self.design, self.roster
             )
-        except EndorsementRejected as exc:
-            reason = exc.reason
+        except AuthorizationError as exc:
+            reason = f"authorization: {exc.reason}"
         except (ContractError, KeyCodecError) as exc:
             reason = f"contract: {exc}"
         return _receipt(pending, Status.REJECTED, reason=reason)
 
-    def commit_chunk(self, chunk, stats: RunStats, cut: str) -> list:
-        """Commit one block; count it, why it was cut and the keys each valid
-        transaction touched in stats. Returns the per-transaction reasons."""
-        _, reasons = commit_block(self.state, self.log, chunk, self.config.policy_m)
+    def commit_chunk(self, chunk, stats: RunStats, cut: str):
+        """Commit one block and settle it.
+
+        Counts the block, why it was cut and the keys each valid
+        transaction touched in stats. Returns the block's final receipts
+        (committed, or aborted on endorsement or an exhausted retry budget)
+        and the next attempt of each other aborted transaction.
+        """
+        block, reasons = commit_block(self.state, self.log, chunk, self.config.policy_m)
         stats.blocks += 1
         stats.cuts[cut] += 1
+        receipts, retries = [], []
         for tx, reason in zip(chunk, reasons):
             if reason == VALID:
                 stats.touches[tx.rwset.touch_count()] += 1
-        return reasons
-
-    def settle(self, tx: EndorsedTransaction, reason: str, height: int):
-        """A committer verdict as a final receipt, or None to retry."""
-        if reason == VALID:
-            return _receipt(tx, Status.COMMITTED, block_height=height)
-        if reason == REASON_ENDORSEMENT or tx.retry_count >= self.config.max_retries:
-            return _receipt(tx, Status.ABORTED, reason=reason)
-        return None
+                receipts.append(_receipt(tx, Status.COMMITTED, block_height=block.height))
+            elif reason == REASON_ENDORSEMENT or tx.retry_count >= self.config.max_retries:
+                receipts.append(_receipt(tx, Status.ABORTED, reason=reason))
+            else:
+                retries.append(_retry(tx))
+        return receipts, retries
 
 
 class LedgerHarness(_Engine):
@@ -455,10 +435,11 @@ class LedgerHarness(_Engine):
         if total == 0:
             return stats
 
-        submission_q = queue.Queue(maxsize=cfg.submission_depth)
+        submission_q = queue.Queue(maxsize=SUBMISSION_DEPTH)
+        # endorsed transactions and rejection receipts, in endorsement order
         ordered_q = queue.Queue(maxsize=ORDERED_DEPTH)
-        # final receipts, committed blocks and worker exceptions
-        receipt_q = queue.Queue()
+        # final receipts and worker exceptions; a put never blocks
+        receipt_q = queue.SimpleQueue()
 
         cancel = threading.Event()  # overload, fault or shutdown
 
@@ -491,45 +472,55 @@ class LedgerHarness(_Engine):
             while (pending := submission_q.get()) is not STOP:
                 if cancel.is_set():
                     cancelled(pending)
-                    continue
-                tx = self.endorse_pending(pending, stats)
-                if isinstance(tx, Receipt):
-                    receipt_q.put(tx)
                 else:
-                    ordered_q.put(tx)
+                    ordered_q.put(self.endorse_pending(pending, stats.endorser_counts))
 
         def committer_main() -> None:
-            # a batch that holds every transaction not yet final cannot grow:
-            # WAKE, sent after each settled block or receipt, re-checks that
-            batch: list = []
+            # Until a cancel every final receipt passes through here, so a
+            # batch of total - final transactions holds all that is left and
+            # cannot grow. The endorser has stopped before STOP comes here,
+            # so the rings of the retries join its counts then.
+            batch, arrived, rings = [], [], Counter()
+            final = 0
             deadline = 0.0
             while True:
-                wait = max(0.0, deadline - time.monotonic()) if batch else None
-                try:
-                    tx = ordered_q.get(timeout=wait)
-                except queue.Empty:
-                    tx = WAKE
-                if tx is STOP:
-                    return
-                if tx is not WAKE:
+                for item in arrived:
+                    if isinstance(item, Receipt):
+                        receipt_q.put(item)
+                        final += 1
+                        continue
                     if not batch:
                         deadline = time.monotonic() + cfg.block_timeout_ms / 1000
-                    batch.append(tx)
+                    batch.append(item)
                 if cancel.is_set():
                     for item in batch:
                         cancelled(item)
                     batch = []
+                # checked before each wait: a batch of retries alone may
+                # already hold all that is left
                 if len(batch) == cfg.block_size:
                     cut = "size"
-                elif batch and len(batch) == total - stats.finalized():
+                elif batch and len(batch) == total - final:
                     cut = "drain"
                 elif batch and time.monotonic() >= deadline:
                     cut = "deadline"
                 else:
+                    wait = max(0.0, deadline - time.monotonic()) if batch else None
+                    arrived = []
+                    with suppress(queue.Empty):  # the deadline has passed
+                        arrived.append(ordered_q.get(timeout=wait))
+                    if STOP in arrived:
+                        stats.endorser_counts.update(rings)
+                        return
                     continue
-                reasons = self.commit_chunk(batch, stats, cut)
-                receipt_q.put((batch, reasons, self.log.height))
+                receipts, retries = self.commit_chunk(batch, stats, cut)
                 batch = []
+                # after a cancel a retry is not endorsed again: it joins the
+                # batch as it is and is cancelled with it
+                arrived = receipts + [
+                    pending if cancel.is_set() else self.endorse_pending(pending, rings)
+                    for pending in retries
+                ]
 
         def monitor_main() -> None:
             # The queue counts as saturated at 95% capacity: producers wake
@@ -542,7 +533,7 @@ class LedgerHarness(_Engine):
                     now = time.monotonic()
                     if saturated_since is None:
                         saturated_since = now
-                    elif now - saturated_since >= cfg.overload_window_s:
+                    elif now - saturated_since >= OVERLOAD_WINDOW_S:
                         stats.overloaded = True
                         cancel.set()
                         return
@@ -567,27 +558,15 @@ class LedgerHarness(_Engine):
         try:
             while stats.finalized() < total:
                 try:
-                    item = receipt_q.get(timeout=cfg.stall_timeout_s)
+                    item = receipt_q.get(timeout=STALL_TIMEOUT_S)
                 except queue.Empty:
                     raise PipelineStallError(
-                        f"no receipt progress for {cfg.stall_timeout_s}s "
+                        f"no receipt progress for {STALL_TIMEOUT_S}s "
                         f"({stats.finalized()}/{total} finalized)"
                     ) from None
                 if isinstance(item, Exception):
                     raise PipelineFault(f"worker thread failed: {item!r}") from item
-                if isinstance(item, Receipt):
-                    stats.add(item)
-                else:  # a committed block
-                    batch, reasons, height = item
-                    for tx, reason in zip(batch, reasons):
-                        receipt = self.settle(tx, reason, height)
-                        if receipt is None and not cancel.is_set():
-                            submission_q.put(_retry(tx))
-                        else:
-                            stats.add(receipt or _receipt(tx, Status.CANCELLED, reason="overload"))
-                # what was settled may complete the committer's drain
-                with suppress(queue.Full):  # the committer wakes anyway
-                    ordered_q.put_nowait(WAKE)
+                stats.add(item)
             stats.elapsed_s = time.monotonic() - started
         finally:
             # Stops a faulted or stalled run; harmless once all are final.
@@ -623,7 +602,10 @@ class SyncLedger(_Engine):
         return _Pending("sync", seq, f"sync-{seq:06d}", payload)
 
     def endorse(self, payload: TransactionPayload) -> EndorsedTransaction:
-        """Endorse without committing; for inspecting read-write sets."""
+        """Endorse without committing; for inspecting read-write sets.
+
+        Raises what `co_endorse` raises for a payload it would reject.
+        """
         pending = self._next_pending(payload)
         return co_endorse(
             pending,
@@ -649,7 +631,7 @@ class SyncLedger(_Engine):
         while pending:
             endorsed = []
             for item in pending:
-                tx = self.endorse_pending(item, stats)
+                tx = self.endorse_pending(item, stats.endorser_counts)
                 if isinstance(tx, Receipt):
                     receipts[item.tx_id] = tx
                 else:
@@ -659,13 +641,9 @@ class SyncLedger(_Engine):
                 chunk = endorsed[start : start + self.config.block_size]
                 # a round's short final chunk holds all that is left
                 cut = "size" if len(chunk) == self.config.block_size else "drain"
-                reasons = self.commit_chunk(chunk, stats, cut)
-                for tx, reason in zip(chunk, reasons):
-                    receipt = self.settle(tx, reason, self.log.height)
-                    if receipt is None:
-                        pending.append(_retry(tx))
-                    else:
-                        receipts[tx.tx_id] = receipt
+                final, retries = self.commit_chunk(chunk, stats, cut)
+                receipts.update((receipt.tx_id, receipt) for receipt in final)
+                pending += retries
         for tx_id in order:
             stats.add(receipts[tx_id])
         stats.elapsed_s = time.monotonic() - started

@@ -28,9 +28,9 @@ carry private memos, all set through `memoize_stub`:
   frozen rwset and payload and hashed into the stub; `to_bytes` packs
   them, so a committed read-write set is encoded once. Parsed
   transactions carry none, so replay holds no second copy of what it
-  read. The memos live as long as their transaction: the threaded engine
-  drops that once `settle` has turned the committer's verdict into a
-  receipt or a retry, and `SyncLedger` at the end of the round.
+  read. The memos live as long as their transaction: the threaded
+  committer drops that once `commit_chunk` has settled its block into
+  receipts and retries, and `SyncLedger` at the end of the round.
 
 Every memo is a pure function of the frozen payload, rwset and endorser
 ids, so none is an init field: a `dataclasses.replace` copy carries none

@@ -201,31 +201,24 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
         ["replay", "--registry", "{malformed}"],
         ["replay", "--policy", "two/three"],
         ["bench", "conflict", "--config", "{missing}"],
-        ["bench", "conflict", "--config", "{unbounded}"],
+        ["bench", "conflict", "--config", "{retired}"],
         ["bench", "conflict", "--config", "{policy}", "--endorsers", "5"],
         ["bench", "conflict", "--log-file", "{missing}/chain.log"],
-        # a wait beyond threading.TIMEOUT_MAX would overflow mid-run
-        ["bench", "table3", "--txs", "5", "--config", "{infinite}"],
-        ["bench", "table3", "--txs", "5", "--config", "{huge}"],
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, args):
     log_path, _, _ = _write_scripted_log(tmp_path)
     malformed = tmp_path / "bad-actors.txt"
     malformed.write_text("individual\n", encoding="utf-8")
-    # a depth of 0 would make an unbounded queue
-    unbounded = tmp_path / "unbounded.conf"
-    unbounded.write_text("submission_depth = 0\n", encoding="utf-8")
+    # the submission queue depth is a constant: its old key is unknown
+    retired = tmp_path / "retired.conf"
+    retired.write_text("submission_depth = 0\n", encoding="utf-8")
     # --endorsers 5 contradicts the file's policy = 2/3
     policy = tmp_path / "policy.conf"
     policy.write_text("policy = 2/3\n", encoding="utf-8")
-    infinite = tmp_path / "infinite.conf"
-    infinite.write_text("stall_timeout_s = inf\n", encoding="utf-8")
-    huge = tmp_path / "huge.conf"
-    huge.write_text("stall_timeout_s = 1e12\n", encoding="utf-8")
     paths = dict(
-        missing=tmp_path / "missing", malformed=malformed, unbounded=unbounded,
-        policy=policy, infinite=infinite, huge=huge,
+        missing=tmp_path / "missing", malformed=malformed, retired=retired,
+        policy=policy,
     )
     argv = [a.format(**paths) for a in args]
     if argv[0] == "replay":

@@ -1,16 +1,17 @@
 """Config parsing plus sync and threaded pipeline behavior."""
 
 import hashlib
+import itertools
 import random
 import sys
 import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from consentledger import wire
+from consentledger import pipeline, wire
 from consentledger.audit import replay_check
 from consentledger.blocklog import BlockLog, verify_chain
 from consentledger.keys import (
@@ -71,16 +72,6 @@ def test_config_validate_errors():
         dict(block_timeout_ms=0),
         # the committer waits out a batch's deadline in one queue call
         dict(block_timeout_ms=10**13),
-        dict(submission_depth=0),
-        dict(overload_window_s=0),
-        dict(overload_window_s=-1.5),
-        dict(overload_window_s=float("nan")),
-        dict(stall_timeout_s=0),
-        # beyond threading.TIMEOUT_MAX a queue wait overflows mid-run
-        dict(stall_timeout_s=float("inf")),
-        dict(stall_timeout_s=1e12),
-        dict(overload_window_s=float("inf")),
-        dict(overload_window_s=1e12),
     ):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs).validate()
@@ -94,8 +85,7 @@ def test_config_from_file(tmp_path):
         "policy = 2/3\n"
         "retries = 4\n"
         "timeout_ms = 10   # trailing comment\n"
-        "threads = 8\n"
-        "submission_depth = 600\n",
+        "threads = 8\n",
         encoding="utf-8",
     )
     cfg = PipelineConfig.from_mapping(read_config(path), where=str(path))
@@ -104,7 +94,6 @@ def test_config_from_file(tmp_path):
     assert cfg.max_retries == 4
     assert cfg.block_timeout_ms == 10
     assert cfg.client_threads == 8
-    assert cfg.submission_depth == 600
 
 
 def test_config_rejects_policy_endorser_mismatch(tmp_path):
@@ -121,9 +110,10 @@ def test_config_rejects_unknown_and_malformed_keys(tmp_path):
         PipelineConfig.from_mapping({"block_size": "ten"})
     with pytest.raises(ConfigError):
         PipelineConfig.from_mapping({"block_queue_depth": "8"})
-    # the endorser-to-committer queue depth is a constant, not a setting
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_mapping({"ordered_depth": "512"})
+    # queue depths and the run's time bounds are constants, not settings
+    for key in ("ordered_depth", "submission_depth", "overload_window_s", "stall_timeout_s"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            PipelineConfig.from_mapping({key: "1"})
     path = tmp_path / "pipeline.conf"
     path.write_text("block_size\n", encoding="utf-8")
     with pytest.raises(ConfigError):
@@ -394,6 +384,21 @@ def test_threaded_tail_block_is_cut_at_drain():
     assert stats.cuts == {"drain": 1}
 
 
+def test_threaded_drain_counts_rejections_as_final():
+    # the rejection comes last; once it has passed the committer, the five
+    # grants it holds are all that is left, so they are cut at once and not
+    # at the 10 s deadline
+    cfg = PipelineConfig(block_size=100, block_timeout_ms=10_000)
+    harness = LedgerHarness(DESIGN, population_registry(8), cfg)
+    good = [grant_consent(f.ind_id, f) for f in _facts(5, 8)]
+    bad = grant_consent("i0", ConsentFact("i1", "r9", "d0", "w0", "t0"))
+    started = time.monotonic()
+    stats = harness.run([good + [bad]])
+    assert time.monotonic() - started < 1.0
+    assert (stats.committed, stats.rejected) == (5, 1)
+    assert stats.cuts == {"drain": 1}
+
+
 def test_threaded_busy_queue_cuts_at_deadline():
     # each endorsement takes 2 ms, so transactions reach the committer in a
     # steady stream; a batch is still cut 20 ms after its first transaction
@@ -436,16 +441,19 @@ def test_threaded_hot_key_conflicts_with_a_small_retry_budget():
     assert stats.committed + stats.aborted == stats.finalized() == 12
     assert stats.aborted > 0
     assert all(r.retry_count == 2 for r in stats.receipts if r.status is Status.ABORTED)
+    # the endorser rings each first attempt and the committer each retry
+    retries = sum(r.retry_count for r in stats.receipts)
+    assert sum(stats.endorser_counts.values()) == cfg.policy_m * (stats.submitted + retries)
     assert sum(stats.cuts.values()) == stats.blocks
     assert dict(harness.state.items())["r0|w0|d0|t0"] == (frozenset({"i0"}), stats.committed)
     replay_check(harness.log.store, harness.state, registry=registry)
 
 
 def test_threaded_cut_rule_under_fast_thread_switching():
-    # the committer reads the count the settling thread keeps to find a
-    # drain; under a tiny switch interval, with more clients than cores and
-    # hot keys that retry, every transaction still ends exactly once and
-    # every committed write shows in the key versions
+    # the committer finds a drain from its own count of final receipts and
+    # endorses retries itself; under a tiny switch interval, with more
+    # clients than cores and hot keys that retry, every transaction still
+    # ends exactly once and every committed write shows in the key versions
     registry = population_registry(8)
     cfg = PipelineConfig(block_size=7, block_timeout_ms=5, max_retries=3)
     harness = LedgerHarness(DESIGN, registry, cfg)
@@ -464,15 +472,16 @@ def test_threaded_cut_rule_under_fast_thread_switching():
     replay_check(harness.log.store, harness.state, registry=registry)
 
 
-def test_threaded_overload_cancels_and_accounts():
+def test_threaded_overload_cancels_and_accounts(monkeypatch):
     # rws access requests scan every individual's consent key, so the one
     # endorser falls behind two clients and the tiny queue stays full. The
     # roster makes each endorsement several 5 ms GIL switch intervals long:
     # a blocked client then refills the queue after every pop, before the
     # endorser can pop twice and take it below the monitor's threshold
     registry = population_registry(8_000)
-    cfg = PipelineConfig(submission_depth=4, overload_window_s=0.2)
-    harness = LedgerHarness(WorldStateDesign.RWS, registry, cfg)
+    monkeypatch.setattr(pipeline, "SUBMISSION_DEPTH", 4)
+    monkeypatch.setattr(pipeline, "OVERLOAD_WINDOW_S", 0.2)
+    harness = LedgerHarness(WorldStateDesign.RWS, registry)
     spec = PreloadSpec(
         design=WorldStateDesign.RWS,
         n_individuals=8_000,
@@ -494,14 +503,15 @@ def test_threaded_overload_cancels_and_accounts():
     assert stats.submitted == stats.finalized() == 400
 
 
-def test_threaded_worker_fault_raises_pipeline_fault():
+def test_threaded_worker_fault_raises_pipeline_fault(monkeypatch):
     registry = population_registry(4)
 
     def authorize(payload):
         raise RuntimeError("registry down")
 
     registry.authorize = authorize
-    cfg = PipelineConfig(block_size=4, block_timeout_ms=10, stall_timeout_s=30)
+    monkeypatch.setattr(pipeline, "STALL_TIMEOUT_S", 30.0)
+    cfg = PipelineConfig(block_size=4, block_timeout_ms=10)
     harness = LedgerHarness(DESIGN, registry, cfg)
     payloads = [grant_consent(f.ind_id, f) for f in _facts(8, 4)]
     started = time.monotonic()
@@ -510,7 +520,7 @@ def test_threaded_worker_fault_raises_pipeline_fault():
     assert time.monotonic() - started < 5
 
 
-def test_threaded_silent_committer_raises_stall():
+def test_threaded_silent_committer_raises_stall(monkeypatch):
     registry = population_registry(4)
     log = BlockLog()
     append = log.store.append
@@ -520,11 +530,36 @@ def test_threaded_silent_committer_raises_stall():
         append(record)
 
     log.store.append = slow_append
-    cfg = PipelineConfig(block_size=4, block_timeout_ms=10, stall_timeout_s=0.3)
+    monkeypatch.setattr(pipeline, "STALL_TIMEOUT_S", 0.3)
+    cfg = PipelineConfig(block_size=4, block_timeout_ms=10)
     harness = LedgerHarness(DESIGN, registry, cfg, log=log)
     payloads = [grant_consent(f.ind_id, f) for f in _facts(4, 4)]
     with pytest.raises(PipelineStallError):
         harness.run([payloads])
+
+
+def test_threaded_stall_in_retry_endorsement_raises_stall(monkeypatch):
+    # retries of hot-key grants are endorsed again while the one-slot
+    # submission queue is full; no thread may wait past the stall bound
+    registry = population_registry(4)
+    authorize = registry.authorize
+    calls = itertools.count(1)
+
+    def slow_authorize(payload):
+        if next(calls) > 6:
+            time.sleep(3.0)
+        authorize(payload)
+
+    registry.authorize = slow_authorize
+    monkeypatch.setattr(pipeline, "SUBMISSION_DEPTH", 1)
+    monkeypatch.setattr(pipeline, "STALL_TIMEOUT_S", 0.3)
+    harness = LedgerHarness(DESIGN, registry)
+    fact = ConsentFact("i0", "r0", "d0", "w0", "t0")
+    started = time.monotonic()
+    with pytest.raises(PipelineStallError):
+        harness.run(_batches([grant_consent("i0", fact)] * 12, 2))
+    # the shutdown waits up to 10 s for threads asleep in authorize
+    assert time.monotonic() - started < 15
 
 
 def _golden_op(rng, design):
@@ -657,6 +692,82 @@ def test_every_state_key_passes_the_grammar(design, key_space, batches):
                 assert (receipt.status is Status.REJECTED) == (not valid)
     for key, _ in ledger.state.items():
         split_key(key)
+
+
+_TWO = {prefix: st.sampled_from([f"{prefix}0", f"{prefix}1"]) for prefix in "rdwc"}
+
+
+def _consent_op(op, submitter):
+    def build(ind, res, role, wd):
+        return op(submitter or ind, ConsentFact(ind, res, role, wd, "t0"))
+
+    return build
+
+
+# Every write in these histories commutes with every other: i0-i2 only
+# grant their own consent and i3-i5 only revoke theirs, c0's roles are only
+# assigned and c1's only revoked. A grant i5 submits for i0-i2 is rejected
+# in any order. Two resources, roles and watchdogs keep the keys hot.
+_COMMUTING_OPS = st.one_of(
+    *(
+        st.builds(
+            _consent_op(op, submitter), st.sampled_from(inds), _TWO["r"], _TWO["d"], _TWO["w"]
+        )
+        for op, submitter, inds in (
+            (grant_consent, None, ["i0", "i1", "i2"]),
+            (revoke_consent, None, ["i3", "i4", "i5"]),
+            (grant_consent, "i5", ["i0", "i1", "i2"]),
+        )
+    ),
+    st.builds(lambda d, w: assign_role(w, d, "c0", w), _TWO["d"], _TWO["w"]),
+    st.builds(lambda d, w: revoke_role(w, d, "c1", w), _TWO["d"], _TWO["w"]),
+    st.builds(
+        lambda c, d, w, r: access_request(c, c, d, w, r, "t0"),
+        _TWO["c"], _TWO["d"], _TWO["w"], _TWO["r"],
+    ),
+)
+
+
+@seed(1919)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(WorldStateDesign),
+    st.none() | st.tuples(st.integers(0, 8), st.integers(0, 2)),
+    st.lists(_COMMUTING_OPS, min_size=1, max_size=24),
+    st.integers(1, 8),
+    st.integers(2, 4),
+    st.integers(0, 2),
+    st.sampled_from([(1, 2), (2, 3)]),
+)
+def test_sync_and_threaded_engines_agree(
+    design, preload, payloads, block_size, clients, retries, policy
+):
+    """One history through both engines: each chain replays clean, every
+    payload ends exactly once, and with no abort the states are equal."""
+    registry = population_registry(6, n_watchdogs=2, n_consumers=2)
+    m, k = policy
+    cfg = PipelineConfig(
+        block_size=block_size, endorsers=k, policy_m=m, max_retries=retries, block_timeout_ms=5
+    )
+    runs = []
+    for engine in (SyncLedger, LedgerHarness):
+        ledger = engine(design, registry, cfg)
+        if preload is not None:
+            ledger.bootstrap(PreloadSpec(design, 6, 2, 2, 2, 1, *preload))
+        stats = ledger.run(_batches(payloads, clients))
+        assert stats.submitted == stats.finalized() == len(payloads)
+        assert stats.committed + stats.aborted + stats.rejected == len(payloads)
+        assert sum(stats.cuts.values()) == stats.blocks
+        rings = m * (len(payloads) + sum(r.retry_count for r in stats.receipts))
+        assert sum(stats.endorser_counts.values()) == rings
+        report = replay_check(ledger.log.store, ledger.state, registry=registry, policy_m=m)
+        assert report.clean()
+        runs.append((stats, dict(ledger.state.items())))
+    (sync, sync_state), (threaded, threaded_state) = runs
+    assert sync.rejected == threaded.rejected
+    if sync.aborted == threaded.aborted == 0:
+        assert sync.committed == threaded.committed
+        assert sync_state == threaded_state
 
 
 def test_rwset_encoded_once_per_committed_tx(monkeypatch):
