@@ -1,7 +1,7 @@
 """Execute-order-validate pipeline over the block log.
 
 Client threads, one endorser thread and one committer thread, connected
-by bounded queues; the thread that called `run` collects the receipts:
+by bounded links; the thread that called `run` collects the receipts:
 
   clients -> [submission queue] -> endorser (authorize, simulate, m-of-k
              stub, in arrival order; a rejection receipt passes on in
@@ -24,7 +24,9 @@ arrive. A retry keeps its submitter's (client, seq); the committer
 endorses it against the state it has just committed, and it opens the
 next batch. No stage polls: each blocks on its queue until an item or
 the STOP sentinel comes, the committer no longer than its batch's
-deadline.
+deadline. A bounded link is a C-level `queue.SimpleQueue` of items
+beside one of free-slot tokens: a producer takes a token before each put
+and the consumer returns one after each get.
 
 Both engines share one core: `bootstrap` commits the preload and setup
 blocks, `endorse_pending` turns a payload into an endorsed transaction
@@ -95,9 +97,9 @@ class PipelineFault(RuntimeError):
     """Raised when a pipeline worker thread dies with an exception."""
 
 
-# depth of the queue every client feeds
+# free slots of the link every client feeds
 SUBMISSION_DEPTH = 8000
-# depth of the queue from the endorser to the committer
+# free slots of the link from the endorser to the committer
 ORDERED_DEPTH = 512
 # seconds the submission queue stays full before a run is overloaded
 OVERLOAD_WINDOW_S = 5.0
@@ -435,24 +437,28 @@ class LedgerHarness(_Engine):
         if total == 0:
             return stats
 
-        submission_q = queue.Queue(maxsize=SUBMISSION_DEPTH)
+        # each bounded link: a queue of items and one of free-slot tokens
+        submission_q, submission_free = queue.SimpleQueue(), queue.SimpleQueue()
         # endorsed transactions and rejection receipts, in endorsement order
-        ordered_q = queue.Queue(maxsize=ORDERED_DEPTH)
-        # final receipts and worker exceptions; a put never blocks
+        ordered_q, ordered_free = queue.SimpleQueue(), queue.SimpleQueue()
+        for free, depth in (submission_free, SUBMISSION_DEPTH), (ordered_free, ORDERED_DEPTH):
+            for _ in range(depth):
+                free.put(None)
+        # final receipts and worker exceptions; unbounded
         receipt_q = queue.SimpleQueue()
 
         cancel = threading.Event()  # overload, fault or shutdown
 
-        def guarded(fn, inbox=None):
+        def guarded(fn, inbox=None, free=None):
             def runner(*args):
                 try:
                     fn(*args)
                 except Exception as exc:  # fail loud in the calling thread
                     cancel.set()
                     receipt_q.put(exc)
-                    # keep emptying the inbox so that no producer blocks on it
+                    # free a slot per item taken so that no producer blocks
                     while inbox is not None and inbox.get() is not STOP:
-                        pass
+                        free.put(None)
 
             return runner
 
@@ -466,14 +472,18 @@ class LedgerHarness(_Engine):
                 if cancel.is_set():
                     cancelled(pending)
                 else:
+                    submission_free.get()
                     submission_q.put(pending)
 
         def endorser_main() -> None:
             while (pending := submission_q.get()) is not STOP:
+                submission_free.put(None)
                 if cancel.is_set():
                     cancelled(pending)
                 else:
-                    ordered_q.put(self.endorse_pending(pending, stats.endorser_counts))
+                    endorsed = self.endorse_pending(pending, stats.endorser_counts)
+                    ordered_free.get()
+                    ordered_q.put(endorsed)
 
         def committer_main() -> None:
             # Until a cancel every final receipt passes through here, so a
@@ -509,6 +519,7 @@ class LedgerHarness(_Engine):
                     arrived = []
                     with suppress(queue.Empty):  # the deadline has passed
                         arrived.append(ordered_q.get(timeout=wait))
+                        ordered_free.put(None)
                     if STOP in arrived:
                         stats.endorser_counts.update(rings)
                         return
@@ -523,10 +534,10 @@ class LedgerHarness(_Engine):
                 ]
 
         def monitor_main() -> None:
-            # The queue counts as saturated at 95% capacity: producers wake
-            # with some latency after each pop, so a strict full() check
+            # The link counts as saturated at 95% of its depth: producers
+            # wake with some latency after each pop, so a full-depth check
             # would flicker and reset the window.
-            saturated = max(1, int(submission_q.maxsize * 0.95))
+            saturated = max(1, int(SUBMISSION_DEPTH * 0.95))
             saturated_since = None
             while not cancel.wait(0.05) and any(t.is_alive() for t in client_workers):
                 if submission_q.qsize() >= saturated:
@@ -546,9 +557,10 @@ class LedgerHarness(_Engine):
         ]
         # each stage with the inbox it takes from until STOP
         stages = [
-            (threading.Thread(target=guarded(stage, inbox), daemon=True), inbox)
-            for stage, inbox in (
-                (endorser_main, submission_q), (committer_main, ordered_q), (monitor_main, None)
+            (threading.Thread(target=guarded(stage, inbox, free), daemon=True), inbox)
+            for stage, inbox, free in (
+                (endorser_main, submission_q, submission_free),
+                (committer_main, ordered_q, ordered_free), (monitor_main, None, None),
             )
         ]
 
@@ -571,14 +583,14 @@ class LedgerHarness(_Engine):
         finally:
             # Stops a faulted or stalled run; harmless once all are final.
             # A stage takes from its inbox until STOP, even after a fault, so
-            # stopping the threads in pipeline order leaves no put blocked.
+            # stopping the threads in pipeline order leaves no producer
+            # waiting for a slot; STOP itself takes none.
             cancel.set()
             give_up = time.monotonic() + 10.0
             for t, inbox in [(t, None) for t in client_workers] + stages:
                 left = max(0.0, give_up - time.monotonic())
                 if inbox is not None:
-                    with suppress(queue.Full):
-                        inbox.put(STOP, timeout=left)
+                    inbox.put(STOP)
                 t.join(timeout=left)
         return stats
 
@@ -648,7 +660,3 @@ class SyncLedger(_Engine):
             stats.add(receipts[tx_id])
         stats.elapsed_s = time.monotonic() - started
         return stats
-
-    def submit_batch(self, payloads) -> list:
-        """Run payloads to final receipts; returns receipts in payload order."""
-        return self.run([payloads]).receipts

@@ -145,7 +145,7 @@ def test_criterion_1_exact_key_touches():
         registry = population_registry(n, n_watchdogs=1, n_consumers=1)
         for design in WorldStateDesign:
             ledger = SyncLedger(design, registry)
-            receipt = ledger.submit_batch([assign_role("w0", "d0", "c0", "w0")])[0]
+            receipt = ledger.run([[assign_role("w0", "d0", "c0", "w0")]]).receipts[0]
             assert receipt.status is Status.COMMITTED
             fact = ConsentFact("i0", "r0", "d0", "w0", "t0")
             observed[(design, n)] = {
@@ -331,9 +331,9 @@ def test_criterion_5_conflict_serialization():
 
     registry = population_registry(100)
     ledger = SyncLedger(WorldStateDesign.IWS, registry)
-    ledger.submit_batch([assign_role("w0", "d0", "c0", "w0")])
+    ledger.run([[assign_role("w0", "d0", "c0", "w0")]])
     base = ledger.log.height
-    receipts = ledger.submit_batch(
+    receipts = ledger.run([
         [
             access_request(
                 "c0",
@@ -345,7 +345,7 @@ def test_criterion_5_conflict_serialization():
             )
             for _ in range(SAME_KEY_READERS)
         ]
-    )
+    ]).receipts
     read_blocks = ledger.log.height - base
     if read_blocks != 1:
         problems.append(
@@ -546,7 +546,7 @@ def test_criterion_7_tamper_evidence():
         grant_consent(f"i{j}", ConsentFact(f"i{j}", f"r{j}", "d0", "w0", "t0"))
         for j in range(2 * CHAIN_BLOCKS)
     ]
-    receipts = ledger.submit_batch(payloads)
+    receipts = ledger.run([payloads]).receipts
     assert all(r.status is Status.COMMITTED for r in receipts)
     assert ledger.log.height == CHAIN_BLOCKS
     assert verify_chain(store) is None
@@ -613,7 +613,7 @@ def test_criterion_8_deterministic_replay():
                 time_id="t0",
             )
         )
-    receipts = ledger.submit_batch(ops)
+    receipts = ledger.run([ops]).receipts
     assert all(r.status is Status.COMMITTED for r in receipts)
     try:
         replay_check(store, state, registry=registry)

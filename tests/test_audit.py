@@ -52,7 +52,7 @@ def _scripted_ledger():
     ]
     # one step per submission so each endorses against the previous commit
     for step in steps:
-        receipt = ledger.submit_batch([step])[0]
+        receipt = ledger.run([[step]]).receipts[0]
         assert receipt.status is Status.COMMITTED
     return ledger, registry
 
@@ -128,7 +128,7 @@ def test_replay_random_history_all_designs():
                 payloads.append(
                     access_request("c0", "c0", "d0", "w0", f"r{rng.randrange(3)}", "t0")
                 )
-        ledger.submit_batch(payloads)
+        ledger.run([payloads])
         report = replay_check(ledger.log.store, ledger.state, registry=registry)
         assert report.clean() and report.interpreted
 
@@ -149,7 +149,7 @@ def _preloaded_ledger(design):
     ledger = SyncLedger(design, registry)
     ledger.bootstrap(spec, [assign_role("w0", "d0", "c0", "w0")])
     fact = ConsentFact("i2", "r3", "d2", "w0", "t0")
-    assert ledger.submit_batch([grant_consent("i2", fact)])[0].status is Status.COMMITTED
+    assert ledger.run([[grant_consent("i2", fact)]]).receipts[0].status is Status.COMMITTED
     return ledger, registry
 
 
@@ -269,7 +269,7 @@ def test_indexed_oracle_matches_brute_force(monkeypatch):
         rng = random.Random(900 + seed)
         ledger = SyncLedger(design, registry, PipelineConfig(block_size=5))
         for step in script:
-            assert ledger.submit_batch([step])[0].status is Status.COMMITTED
+            assert ledger.run([[step]]).receipts[0].status is Status.COMMITTED
         payloads = []
         for _ in range(150):
             roll = rng.random()
@@ -287,7 +287,7 @@ def test_indexed_oracle_matches_brute_force(monkeypatch):
                 payloads.append(
                     access_request("c0", "c0", role, "w0", res, f"t{rng.randrange(2)}")
                 )
-        ledger.submit_batch(payloads)
+        ledger.run([payloads])
 
         answered.clear()
         report = replay_check(ledger.log.store, ledger.state, registry=registry)

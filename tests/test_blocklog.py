@@ -239,13 +239,13 @@ def _mixed_chain() -> list:
         revoke_consent("i0", fact),
         revoke_role("w0", "d0", "c0", "w0"),
     ):
-        assert ledger.submit_batch([step])[0].status is Status.COMMITTED
-    receipts = ledger.submit_batch(
+        assert ledger.run([[step]]).receipts[0].status is Status.COMMITTED
+    receipts = ledger.run([
         [
             raw_read("i1", ["r0|w0|d0|t0", "d0|c0|w0"]),
             raw_write("i2", [("r1|w0|d0|t0", frozenset({"i1", "i2"})), ("d1|c0|w0", "assign")]),
         ]
-    )
+    ]).receipts
     assert all(r.status is Status.COMMITTED for r in receipts)
     return list(ledger.log.store)
 

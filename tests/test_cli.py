@@ -30,7 +30,7 @@ def _write_scripted_log(tmp_path):
         access_request("c0", "c0", "d0", "w0", "r0", "t0"),
     ]
     for step in steps:
-        ledger.submit_batch([step])
+        ledger.run([[step]])
     store.close()
     registry_path = tmp_path / "actors.txt"
     registry_path.write_text(

@@ -2,10 +2,13 @@
 
 import hashlib
 import itertools
+import queue
 import random
 import sys
+import threading
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings
@@ -35,6 +38,7 @@ from consentledger.pipeline import (
 )
 from consentledger.preload import PreloadSpec
 from consentledger.transactions import (
+    EndorsedTransaction,
     access_request,
     assign_role,
     grant_consent,
@@ -137,14 +141,14 @@ def test_malformed_access_tokens_rejected(design):
     # add a key segment and commit an empty grant
     ledger = SyncLedger(design, population_registry(4))
     ledger.bootstrap(None, [assign_role("w0", "d0", "c0", "w0")])
-    receipts = ledger.submit_batch(
+    receipts = ledger.run([
         [
             access_request("c0", "c0", "d0", "w0", "r|x", "t0"),
             access_request("c0", "c0", "d0", "w0", "r 1", "t0"),
             access_request("c0", "c0", "d0", "w0", "r0", "t|0"),
             access_request("c0", "c0", "d0", "w0", "r0", "t0"),
         ]
-    )
+    ]).receipts
     assert [r.status for r in receipts] == [Status.REJECTED] * 3 + [Status.COMMITTED]
     assert [r.reason.split(" ")[:3] for r in receipts[:3]] == [
         ["contract:", "invalid", "res_id"],
@@ -160,7 +164,7 @@ def test_sync_same_key_writers_take_one_block_each():
         ledger = SyncLedger(DESIGN, registry, cfg)
         fact_for = lambda i: ConsentFact(f"i{i}", "r0", "d0", "w0", "t0")
         payloads = [grant_consent(f"i{i}", fact_for(i)) for i in range(k)]
-        receipts = ledger.submit_batch(payloads)
+        receipts = ledger.run([payloads]).receipts
         assert all(r.status is Status.COMMITTED for r in receipts)
         assert ledger.log.height == k
         heights = sorted(r.block_height for r in receipts)
@@ -175,7 +179,7 @@ def test_sync_retry_budget_exhaustion():
         grant_consent(f"i{i}", ConsentFact(f"i{i}", "r0", "d0", "w0", "t0"))
         for i in range(5)
     ]
-    receipts = ledger.submit_batch(payloads)
+    receipts = ledger.run([payloads]).receipts
     by_status = {}
     for r in receipts:
         by_status.setdefault(r.status, []).append(r)
@@ -189,7 +193,7 @@ def test_sync_rejects_unauthorized_payload():
     ledger = SyncLedger(DESIGN, registry)
     bad = grant_consent("i0", ConsentFact("i1", "r0", "d0", "w0", "t0"))
     good = grant_consent("i1", ConsentFact("i1", "r0", "d0", "w0", "t0"))
-    receipts = ledger.submit_batch([bad, good])
+    receipts = ledger.run([[bad, good]]).receipts
     assert receipts[0].status is Status.REJECTED
     assert "cannot act for" in receipts[0].reason
     assert receipts[1].status is Status.COMMITTED
@@ -562,6 +566,96 @@ def test_threaded_stall_in_retry_endorsement_raises_stall(monkeypatch):
     assert time.monotonic() - started < 15
 
 
+def test_threaded_one_slot_links_match_the_sync_engine(monkeypatch):
+    # with one slot per link every hand-off waits for the next stage; hot
+    # grants commute, so with no abort both engines end in the same state
+    monkeypatch.setattr(pipeline, "SUBMISSION_DEPTH", 1)
+    monkeypatch.setattr(pipeline, "ORDERED_DEPTH", 1)
+    registry = population_registry(8)
+    cfg = PipelineConfig(block_size=8, block_timeout_ms=5, max_retries=64)
+    payloads = []
+    for i in range(100):
+        fact = ConsentFact(f"i{i % 8}", f"r{i % 5}", "d0", "w0", "t0")
+        payloads.append(grant_consent(fact.ind_id, fact))
+        payloads.append(access_request("c0", "c0", "d0", "w0", fact.res_id, "t0"))
+    states = []
+    for engine in (SyncLedger, LedgerHarness):
+        ledger = engine(DESIGN, registry, cfg)
+        ledger.bootstrap(None, [assign_role("w0", "d0", "c0", "w0")])
+        stats = ledger.run(_batches(payloads, 2))
+        assert stats.submitted == stats.finalized() == stats.committed == 200
+        assert len({r.tx_id for r in stats.receipts}) == 200
+        assert replay_check(ledger.log.store, ledger.state, registry=registry).clean()
+        states.append(dict(ledger.state.items()))
+    assert states[0] == states[1]
+
+
+def test_threaded_ordered_link_holds_its_depth(monkeypatch):
+    # a slow committer lets the endorser run ahead: at most ORDERED_DEPTH
+    # transactions wait in the link, plus the one the endorser holds while
+    # it waits for a slot
+    monkeypatch.setattr(pipeline, "ORDERED_DEPTH", 3)
+    commit_block = pipeline.commit_block
+
+    def slow_commit_block(*args):
+        time.sleep(0.005)
+        return commit_block(*args)
+
+    monkeypatch.setattr(pipeline, "commit_block", slow_commit_block)
+    lock, outstanding, peak = threading.Lock(), [0], [0]
+
+    def count(delta):
+        with lock:
+            outstanding[0] += delta
+            peak[0] = max(peak[0], outstanding[0])
+
+    endorse_pending = pipeline._Engine.endorse_pending
+
+    def counting_endorse(self, pending, rings):
+        tx = endorse_pending(self, pending, rings)
+        count(1)
+        return tx
+
+    class CountingQueue(queue.SimpleQueue):
+        def get(self, *args, **kwargs):
+            item = super().get(*args, **kwargs)
+            if isinstance(item, EndorsedTransaction):  # the committer's intake
+                count(-1)
+            return item
+
+    monkeypatch.setattr(pipeline._Engine, "endorse_pending", counting_endorse)
+    counting_queue = SimpleNamespace(SimpleQueue=CountingQueue, Empty=queue.Empty)
+    monkeypatch.setattr(pipeline, "queue", counting_queue)
+    harness = LedgerHarness(DESIGN, population_registry(8), PipelineConfig(block_size=10))
+    stats = harness.run(_batches([grant_consent(f.ind_id, f) for f in _facts(300, 8)], 2))
+    # distinct keys: no retry, so only the endorser endorses
+    assert stats.committed == 300 and all(r.retry_count == 0 for r in stats.receipts)
+    assert outstanding[0] == 0
+    assert peak[0] == 3 + 1
+
+
+def test_threaded_fault_leaves_no_thread_blocked(monkeypatch):
+    # the endorser dies with a full one-slot submission link and clients
+    # waiting for a slot; its drain must free a slot per item it takes
+    monkeypatch.setattr(pipeline, "SUBMISSION_DEPTH", 1)
+    co_endorse, calls = pipeline.co_endorse, itertools.count(1)
+
+    def failing_co_endorse(*args):
+        if next(calls) == 3:
+            raise RuntimeError("endorser down")
+        return co_endorse(*args)
+
+    monkeypatch.setattr(pipeline, "co_endorse", failing_co_endorse)
+    harness = LedgerHarness(DESIGN, population_registry(8))
+    payloads = [grant_consent(f.ind_id, f) for f in _facts(50, 8)]
+    before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(PipelineFault, match="endorser down"):
+        harness.run(_batches(payloads, 2))
+    assert time.monotonic() - started < 2.0
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
 def _golden_op(rng, design):
     """One random consent, role or access operation, some of them invalid."""
     ind, other = f"i{rng.randrange(6)}", f"i{rng.randrange(6)}"
@@ -608,7 +702,7 @@ def _golden_digest(design, policy):
     receipts = []
     for _ in range(12):
         batch = [_golden_op(rng, design) for _ in range(rng.randrange(8, 24))]
-        receipts += ledger.submit_batch(batch)
+        receipts += ledger.run([batch]).receipts
         h.update(digest_entries(dict(ledger.state.items())).encode())
     for record in ledger.log.store:
         h.update(wire.pack_chunk(record))
@@ -686,7 +780,7 @@ def test_every_state_key_passes_the_grammar(design, key_space, batches):
     ledger = SyncLedger(design, registry, PipelineConfig(block_size=5))
     ledger.bootstrap(PreloadSpec(design, 3, 3, 3, 3, 1, key_space, 2))
     for batch in batches:
-        for payload, receipt in zip(batch, ledger.submit_batch(batch)):
+        for payload, receipt in zip(batch, ledger.run([batch]).receipts):
             if payload.write_items:
                 valid = all(_passes_grammar(key) for key, _ in payload.write_items)
                 assert (receipt.status is Status.REJECTED) == (not valid)
@@ -782,11 +876,11 @@ def test_rwset_encoded_once_per_committed_tx(monkeypatch):
     registry = population_registry(5)
     ledger = SyncLedger(WorldStateDesign.RWS, registry, PipelineConfig(block_size=3))
     setup = [assign_role("w0", "d0", "c0", "w0")]
-    ledger.submit_batch(setup + [grant_consent(f.ind_id, f) for f in _facts(5, 5)])
+    ledger.run([setup + [grant_consent(f.ind_id, f) for f in _facts(5, 5)]])
     encodes.clear()
     payloads = [access_request("c0", "c0", "d0", "w0", "r1", "t0")] * 4
     payloads.append(assign_role("w0", "d1", "c0", "w0"))
-    receipts = ledger.submit_batch(payloads)
+    receipts = ledger.run([payloads]).receipts
     assert [r.status for r in receipts] == [Status.COMMITTED] * 5
     assert all(r.retry_count == 0 for r in receipts)
     # one encode per transaction: an access request reads the role key and

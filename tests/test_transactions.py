@@ -386,7 +386,7 @@ def test_endorser_memos_are_the_encoded_payload_and_rwset():
 
     registry = population_registry(3)
     ledger = SyncLedger(WorldStateDesign.RWS, registry)
-    ledger.submit_batch([assign_role("w0", "d0", "c0", "w0")])
+    ledger.run([[assign_role("w0", "d0", "c0", "w0")]])
     tx = ledger.endorse(access_request("c0", "c0", "d0", "w0", "r0", "t0"))
     assert len(tx.rwset.reads) == 4  # the role key and three consent keys
     assert tx._rwset_memo == tx.rwset.to_bytes()
