@@ -262,9 +262,6 @@ class FileLogStore:
                     raise wire.WireError("truncated record")
                 yield record
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -395,5 +392,4 @@ def commit_block(
         validity=tuple(r == VALID for r in reasons),
     )
     log.append_block(block)
-    state.height = block.height
     return block, reasons

@@ -34,11 +34,13 @@ or a rejection receipt, and `commit_chunk` commits one block, counts it
 and settles it into final receipts and retries. `SyncLedger` runs the
 same steps in rounds.
 
-Overload: a monitor samples the submission queue while clients are still
-submitting; if it stays full for OVERLOAD_WINDOW_S consecutive seconds
-the run is declared overloaded and cancelled. Every in-flight
-transaction then drains to a final cancelled receipt, so accounting stays
-exact: committed + aborted + rejected + cancelled == submitted.
+Overload: the endorser reads the submission link's depth after each
+pop. The link is saturated while it holds at least 95% of its depth and
+a client still holds a payload; a run whose link stays saturated from
+pop to pop for OVERLOAD_WINDOW_S is declared overloaded and cancelled.
+Every in-flight transaction then drains to a final cancelled receipt, so
+accounting stays exact: committed + aborted + rejected + cancelled ==
+submitted.
 
 Config file format (one `key = value` per line, '#' comments):
 
@@ -101,7 +103,7 @@ class PipelineFault(RuntimeError):
 SUBMISSION_DEPTH = 8000
 # free slots of the link from the endorser to the committer
 ORDERED_DEPTH = 512
-# seconds the submission queue stays full before a run is overloaded
+# seconds the submission link stays saturated before a run is overloaded
 OVERLOAD_WINDOW_S = 5.0
 # seconds without a receipt before a run is declared stalled
 STALL_TIMEOUT_S = 120.0
@@ -329,10 +331,6 @@ def co_endorse(
     return tx.memoize_stub(stub, payload_bytes, rwset_bytes)
 
 
-def _endorser_ring(endorser_ids, start: int, m: int):
-    return tuple(endorser_ids[(start + offset) % len(endorser_ids)] for offset in range(m))
-
-
 class _Engine:
     """Set-up and the endorse and commit steps both engines share."""
 
@@ -387,7 +385,8 @@ class _Engine:
         EndorsedTransaction, or a REJECTED receipt when the payload fails
         authorization or cannot execute.
         """
-        ring = _endorser_ring(self.endorser_ids, pending.seq, self.config.policy_m)
+        ids, m = self.endorser_ids, self.config.policy_m
+        ring = tuple(ids[(pending.seq + offset) % len(ids)] for offset in range(m))
         rings.update(ring)
         try:
             return co_endorse(
@@ -476,8 +475,26 @@ class LedgerHarness(_Engine):
                     submission_q.put(pending)
 
         def endorser_main() -> None:
+            # The link counts as saturated at 95% of its depth: producers
+            # wake with some latency after each pop, so a full-depth check
+            # would flicker and reset the window. Once every payload has
+            # left the clients, a full link is only the endorser's backlog.
+            saturated = max(1, int(SUBMISSION_DEPTH * 0.95))
+            popped, saturated_since = 0, None
             while (pending := submission_q.get()) is not STOP:
                 submission_free.put(None)
+                popped += 1
+                waiting = submission_q.qsize()
+                if waiting < saturated or popped + waiting >= total:
+                    saturated_since = None
+                elif saturated_since is None:
+                    saturated_since = time.monotonic()
+                elif (
+                    time.monotonic() - saturated_since >= OVERLOAD_WINDOW_S
+                    and not cancel.is_set()
+                ):
+                    stats.overloaded = True
+                    cancel.set()
                 if cancel.is_set():
                     cancelled(pending)
                 else:
@@ -533,24 +550,6 @@ class LedgerHarness(_Engine):
                     for pending in retries
                 ]
 
-        def monitor_main() -> None:
-            # The link counts as saturated at 95% of its depth: producers
-            # wake with some latency after each pop, so a full-depth check
-            # would flicker and reset the window.
-            saturated = max(1, int(SUBMISSION_DEPTH * 0.95))
-            saturated_since = None
-            while not cancel.wait(0.05) and any(t.is_alive() for t in client_workers):
-                if submission_q.qsize() >= saturated:
-                    now = time.monotonic()
-                    if saturated_since is None:
-                        saturated_since = now
-                    elif now - saturated_since >= OVERLOAD_WINDOW_S:
-                        stats.overloaded = True
-                        cancel.set()
-                        return
-                else:
-                    saturated_since = None
-
         client_workers = [
             threading.Thread(target=guarded(client_main), args=args, daemon=True)
             for args in enumerate(batches)
@@ -560,7 +559,7 @@ class LedgerHarness(_Engine):
             (threading.Thread(target=guarded(stage, inbox, free), daemon=True), inbox)
             for stage, inbox, free in (
                 (endorser_main, submission_q, submission_free),
-                (committer_main, ordered_q, ordered_free), (monitor_main, None, None),
+                (committer_main, ordered_q, ordered_free),
             )
         ]
 
@@ -606,27 +605,7 @@ class SyncLedger(_Engine):
     and scripted audit scenarios.
     """
 
-    _submitted = 0  # payloads numbered so far; set per instance on first use
-
-    def _next_pending(self, payload: TransactionPayload) -> _Pending:
-        seq = self._submitted
-        self._submitted += 1
-        return _Pending("sync", seq, f"sync-{seq:06d}", payload)
-
-    def endorse(self, payload: TransactionPayload) -> EndorsedTransaction:
-        """Endorse without committing; for inspecting read-write sets.
-
-        Raises what `co_endorse` raises for a payload it would reject.
-        """
-        pending = self._next_pending(payload)
-        return co_endorse(
-            pending,
-            _endorser_ring(self.endorser_ids, pending.seq, self.config.policy_m),
-            self.state,
-            self.registry,
-            self.design,
-            self.roster,
-        )
+    _submitted = 0  # payloads numbered so far; set per instance on first run
 
     def run(self, client_batches) -> RunStats:
         """Run every payload to a final receipt; returns run stats.
@@ -636,7 +615,11 @@ class SyncLedger(_Engine):
         """
         started = time.monotonic()
         payloads = [p for row in zip_longest(*client_batches) for p in row if p is not None]
-        pending = [self._next_pending(payload) for payload in payloads]
+        pending = [
+            _Pending("sync", seq, f"sync-{seq:06d}", payload)
+            for seq, payload in enumerate(payloads, start=self._submitted)
+        ]
+        self._submitted += len(pending)
         order = [p.tx_id for p in pending]
         stats = RunStats(submitted=len(pending))
         receipts: dict = {}

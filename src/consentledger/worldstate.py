@@ -118,7 +118,7 @@ class ReadWriteSet:
 
 
 class VersionedWorldState:
-    """The committed (key -> value, version) map plus the chain height.
+    """The committed (key -> value, version) map.
 
     write_count increments on every committed write, including preloads.
     Simulations capture it before their first read; validation can then
@@ -128,7 +128,6 @@ class VersionedWorldState:
 
     def __init__(self):
         self._entries: dict = {}
-        self.height = 0
         self.write_count = 0
 
     def version_of(self, key: str) -> int:
@@ -190,9 +189,10 @@ class SimulationContext:
     """Endorser-side sandbox: reads hit a state snapshot, writes are staged.
 
     The first read of each key records (key, committed-version); re-reads
-    return the same observation without growing the read set. Reads of a
-    key this transaction already staged return the staged value
-    (read-your-writes) but still record the committed version underneath.
+    return the same observation without growing the read set. As with
+    Fabric's GetState, a read returns the committed value even for a key
+    this transaction has already staged: its own writes are not visible
+    to it.
 
     Every read probes the committed state once, and the version and the
     value come from that one entry. Keys enter the state in three places,
@@ -214,8 +214,8 @@ class SimulationContext:
         self._reads: dict = {}
         self._writes: dict = {}
 
-    def get_value(self, key: str, default: Value = None):
-        """The value this transaction sees at key, or default when absent."""
+    def get_value(self, key: str):
+        """The committed value at key, or None when absent."""
         entry = self._probe(key)
         if key not in self._reads:
             if entry is None:
@@ -223,9 +223,7 @@ class SimulationContext:
                 self._reads[key] = ABSENT_VERSION
             else:
                 self._reads[key] = entry[1]
-        if key in self._writes:
-            return self._writes[key]
-        return default if entry is None else entry[0]
+        return None if entry is None else entry[0]
 
     def put(self, key: str, value: Value) -> None:
         split_key(key)

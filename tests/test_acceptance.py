@@ -22,6 +22,7 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -36,7 +37,14 @@ from consentledger.keys import (
     WorldStateDesign,
 )
 from consentledger.membership import population_registry
-from consentledger.pipeline import LedgerHarness, PipelineConfig, Status, SyncLedger
+from consentledger.pipeline import (
+    LedgerHarness,
+    PipelineConfig,
+    Receipt,
+    Status,
+    SyncLedger,
+    _Pending,
+)
 from consentledger.transactions import (
     access_request,
     assign_role,
@@ -138,6 +146,13 @@ def population_runs():
     }
 
 
+def _endorse(ledger, payload):
+    """Endorse one payload against the ledger's state without committing it."""
+    tx = ledger.endorse_pending(_Pending("c0", 0, "c0-000000", payload), Counter())
+    assert not isinstance(tx, Receipt), tx
+    return tx
+
+
 def test_criterion_1_exact_key_touches():
     started = time.monotonic()
     observed = {}
@@ -149,9 +164,10 @@ def test_criterion_1_exact_key_touches():
             assert receipt.status is Status.COMMITTED
             fact = ConsentFact("i0", "r0", "d0", "w0", "t0")
             observed[(design, n)] = {
-                "grant": ledger.endorse(grant_consent("i0", fact)),
-                "role": ledger.endorse(assign_role("w0", "d1", "c0", "w0")),
-                "access": ledger.endorse(
+                "grant": _endorse(ledger, grant_consent("i0", fact)),
+                "role": _endorse(ledger, assign_role("w0", "d1", "c0", "w0")),
+                "access": _endorse(
+                    ledger,
                     access_request(
                         "c0",
                         dc_id="c0",
@@ -161,7 +177,8 @@ def test_criterion_1_exact_key_touches():
                         time_id="t0",
                     )
                 ),
-                "denied": ledger.endorse(
+                "denied": _endorse(
+                    ledger,
                     access_request(
                         "c0",
                         dc_id="c0",

@@ -128,8 +128,10 @@ def test_endorsement_does_not_touch_state():
     registry = population_registry(4)
     ledger = SyncLedger(DESIGN, registry)
     payload = grant_consent("i0", ConsentFact("i0", "r0", "d0", "w0", "t0"))
-    tx1 = ledger.endorse(payload)
-    tx2 = ledger.endorse(payload)
+    tx1, tx2 = (
+        ledger.endorse_pending(pipeline._Pending("c0", seq, f"c0-{seq:06d}", payload), Counter())
+        for seq in range(2)
+    )
     assert ledger.state.key_count() == 0
     assert tx1.rwset == tx2.rwset
     assert ledger.log.height == 0
@@ -481,7 +483,7 @@ def test_threaded_overload_cancels_and_accounts(monkeypatch):
     # endorser falls behind two clients and the tiny queue stays full. The
     # roster makes each endorsement several 5 ms GIL switch intervals long:
     # a blocked client then refills the queue after every pop, before the
-    # endorser can pop twice and take it below the monitor's threshold
+    # endorser can pop twice and take it below the saturation threshold
     registry = population_registry(8_000)
     monkeypatch.setattr(pipeline, "SUBMISSION_DEPTH", 4)
     monkeypatch.setattr(pipeline, "OVERLOAD_WINDOW_S", 0.2)
@@ -505,6 +507,45 @@ def test_threaded_overload_cancels_and_accounts(monkeypatch):
     assert stats.cancelled > 0
     assert stats.committed + stats.aborted + stats.rejected + stats.cancelled == 400
     assert stats.submitted == stats.finalized() == 400
+
+
+def test_threaded_backlog_of_every_payload_is_not_overload(monkeypatch):
+    # every payload fits in the link, so the clients hand over all they
+    # hold at once and the slow endorser drains a full link alone: a
+    # backlog no client adds to is not overload
+    monkeypatch.setattr(pipeline, "SUBMISSION_DEPTH", 100)
+    monkeypatch.setattr(pipeline, "OVERLOAD_WINDOW_S", 0.01)
+    registry = population_registry(8)
+    authorize = registry.authorize
+
+    def slow_authorize(payload):
+        time.sleep(0.005)
+        authorize(payload)
+
+    registry.authorize = slow_authorize
+    harness = LedgerHarness(DESIGN, registry)
+    stats = harness.run(_batches([grant_consent(f.ind_id, f) for f in _facts(100, 8)], 2))
+    assert not stats.overloaded
+    assert stats.committed == stats.finalized() == 100
+
+
+def test_threaded_run_starts_clients_endorser_and_committer_only(monkeypatch):
+    # the endorser measures overload at its own pops: no other thread runs
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    harness = LedgerHarness(DESIGN, population_registry(8), PipelineConfig(block_size=10))
+    counting_threading = SimpleNamespace(Thread=CountingThread, Event=threading.Event)
+    monkeypatch.setattr(pipeline, "threading", counting_threading)
+    batches = _batches([grant_consent(f.ind_id, f) for f in _facts(60, 8)], 3)
+    stats = harness.run(batches)
+    assert stats.committed == 60
+    assert len(started) == len(batches) + 2
+    assert not any(t.is_alive() for t in started)
 
 
 def test_threaded_worker_fault_raises_pipeline_fault(monkeypatch):

@@ -381,13 +381,16 @@ def test_rwset_codec_roundtrips_and_is_canonical(reads, writes):
 
 
 def test_endorser_memos_are_the_encoded_payload_and_rwset():
+    from collections import Counter
+
     from consentledger.membership import population_registry
-    from consentledger.pipeline import SyncLedger
+    from consentledger.pipeline import SyncLedger, _Pending
 
     registry = population_registry(3)
     ledger = SyncLedger(WorldStateDesign.RWS, registry)
     ledger.run([[assign_role("w0", "d0", "c0", "w0")]])
-    tx = ledger.endorse(access_request("c0", "c0", "d0", "w0", "r0", "t0"))
+    payload = access_request("c0", "c0", "d0", "w0", "r0", "t0")
+    tx = ledger.endorse_pending(_Pending("c0", 0, "c0-000000", payload), Counter())
     assert len(tx.rwset.reads) == 4  # the role key and three consent keys
     assert tx._rwset_memo == tx.rwset.to_bytes()
     assert tx._payload_memo == tx.payload.to_bytes()
