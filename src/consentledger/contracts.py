@@ -18,6 +18,15 @@ The access request reads the key layout from `keys.LAYOUTS`: when the
 member set holds individuals (iws) it reads one consent key; otherwise
 the individual is a key segment and one loop scans the roster for both
 rws and rows.
+
+A granted iws answer lists the key's member set sorted, through `order`:
+a bounded `lru_cache` around `sorted_members` that each engine passes in
+and that lives as long as the engine. A preload shares one value object
+across its keys, so an engine sorts it once and later answers hit on
+identity. A module-level memo would keep an earlier engine's preload as
+its key, and a later engine's equal but distinct preload would pay a
+full set comparison on every hit. The rws/rows scan builds its list per
+request in roster order and sorts it itself.
 """
 
 from __future__ import annotations
@@ -77,8 +86,13 @@ def _update_role(ctx: SimulationContext, payload: TransactionPayload) -> None:
     ctx.put(key, marker)
 
 
+def sorted_members(members: frozenset) -> tuple:
+    """The members of a member set in sorted order."""
+    return tuple(sorted(members))
+
+
 def _access_request(ctx: SimulationContext, payload: TransactionPayload,
-                    design: WorldStateDesign, roster) -> AccessGrantRecord:
+                    design: WorldStateDesign, roster, order) -> AccessGrantRecord:
     # the role key checks the other three tokens; these two only reach
     # consent keys, where a separator would add a segment unnoticed
     validate_token(payload.res_id, "res_id")
@@ -92,18 +106,18 @@ def _access_request(ctx: SimulationContext, payload: TransactionPayload,
         return AccessGrantRecord(*coordinates, granted=False)
     segments, member = LAYOUTS[design]
     if member == "ind_id":
-        consenting = _member_set(ctx, consent_key(design, payload))
-    else:
-        # the key's other segments come from the request; the scan fills
-        # in each individual between them
-        split = segments.index("ind_id")
-        head = "".join([getattr(payload, name) + SEPARATOR for name in segments[:split]])
-        tail = "".join([SEPARATOR + getattr(payload, name) for name in segments[split + 1:]])
-        wanted = getattr(payload, member)
-        consenting = [
-            ind_id for ind_id in roster
-            if wanted in _member_set(ctx, head + ind_id + tail)
-        ]
+        members = _member_set(ctx, consent_key(design, payload))
+        return AccessGrantRecord(*coordinates, True, order(members))
+    # the key's other segments come from the request; the scan fills in
+    # each individual between them
+    split = segments.index("ind_id")
+    head = "".join([getattr(payload, name) + SEPARATOR for name in segments[:split]])
+    tail = "".join([SEPARATOR + getattr(payload, name) for name in segments[split + 1:]])
+    wanted = getattr(payload, member)
+    consenting = [
+        ind_id for ind_id in roster
+        if wanted in _member_set(ctx, head + ind_id + tail)
+    ]
     return AccessGrantRecord(*coordinates, True, tuple(sorted(consenting)))
 
 
@@ -112,8 +126,12 @@ def execute_payload(
     payload: TransactionPayload,
     design: WorldStateDesign,
     roster,
+    order,
 ) -> AccessGrantRecord | None:
-    """Run one payload in the sandbox; returns the decision for access ops."""
+    """Run one payload in the sandbox; returns the decision for access ops.
+
+    order maps a member set to its sorted tuple (`sorted_members` or a memo of it).
+    """
     kind = payload.kind
     if kind in (PayloadKind.GRANT_CONSENT, PayloadKind.REVOKE_CONSENT):
         _update_consent(ctx, payload, design)
@@ -122,7 +140,7 @@ def execute_payload(
         _update_role(ctx, payload)
         return None
     if kind is PayloadKind.ACCESS_REQUEST:
-        return _access_request(ctx, payload, design, roster)
+        return _access_request(ctx, payload, design, roster, order)
     if kind is PayloadKind.RAW_READ:
         for key in payload.read_keys:
             ctx.get_value(key)
@@ -131,6 +149,9 @@ def execute_payload(
         for key, value in payload.write_items:
             if isinstance(value, frozenset):
                 validate_members(value)
+            elif not isinstance(value, str):
+                raise ContractError(f"key {key!r}: a value is a str or a frozenset, "
+                                    f"not {type(value).__name__}")
             ctx.put(key, value)
         return None
     raise ContractError(f"{kind.label} is applied at commit time, not simulated")

@@ -76,7 +76,10 @@ def validate_token(token: str, what: str = "token") -> str:
 
 def validate_members(members: frozenset) -> None:
     """Check every member against the token grammar in one regex call."""
-    joined = ",".join(members)
+    try:
+        joined = ",".join(members)
+    except TypeError:
+        raise KeyCodecError(f"invalid member in {members!r}: every member is a str") from None
     # the count catches a member that holds "," and would match as two
     if members and (joined.count(",") >= len(members) or not MEMBERS_PATTERN.match(joined)):
         raise KeyCodecError(f"invalid member in {sorted(members)!r}: must match [A-Za-z0-9_-]+")

@@ -61,6 +61,7 @@ import time
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import zip_longest
 from pathlib import Path
 
@@ -70,7 +71,7 @@ from consentledger.blocklog import (
     BlockLog,
     commit_block,
 )
-from consentledger.contracts import ContractError, execute_payload
+from consentledger.contracts import ContractError, execute_payload, sorted_members
 from consentledger.keys import KeyCodecError, WorldStateDesign
 from consentledger.membership import AuthorizationError, MembershipRegistry
 from consentledger.preload import PreloadSpec
@@ -109,6 +110,8 @@ OVERLOAD_WINDOW_S = 5.0
 STALL_TIMEOUT_S = 120.0
 # queue sentinel that ends a stage
 STOP = object()
+# member sets each engine keeps sorted for its iws access answers
+MEMBER_ORDER_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -285,10 +288,11 @@ def simulate_payload(
     payload: TransactionPayload,
     design: WorldStateDesign,
     roster,
+    order,
 ):
     """One sandboxed execution; returns (rwset, access result or None)."""
     ctx = SimulationContext(state)
-    result = execute_payload(ctx, payload, design, roster)
+    result = execute_payload(ctx, payload, design, roster, order)
     return ctx.rwset(), result
 
 
@@ -299,6 +303,7 @@ def co_endorse(
     registry: MembershipRegistry,
     design: WorldStateDesign,
     roster,
+    order,
 ) -> EndorsedTransaction:
     """Authorize, simulate, and sign the result as every listed endorser.
 
@@ -309,7 +314,7 @@ def co_endorse(
     """
     payload = pending.payload
     registry.authorize(payload)
-    rwset, result = simulate_payload(state, payload, design, roster)
+    rwset, result = simulate_payload(state, payload, design, roster, order)
     endorser_ids = tuple(endorser_ids)
     # encoded once: the stub hashes these bytes and the block record
     # reuses them
@@ -332,7 +337,14 @@ def co_endorse(
 
 
 class _Engine:
-    """Set-up and the endorse and commit steps both engines share."""
+    """Set-up and the endorse and commit steps both engines share.
+
+    member_order is this engine's memo from a member-set value to the
+    sorted tuple an iws access answer lists (see `contracts`). It lives as
+    long as the engine, so the one value a preload shares across its keys
+    is sorted once per engine. The endorser and the committer's retry
+    endorsement both call it; `lru_cache` is thread-safe.
+    """
 
     def __init__(
         self,
@@ -348,6 +360,7 @@ class _Engine:
         self.state = state if state is not None else VersionedWorldState()
         self.log = log if log is not None else BlockLog()
         self.roster = registry.roster()
+        self.member_order = lru_cache(maxsize=MEMBER_ORDER_SLOTS)(sorted_members)
         self.endorser_ids = tuple(f"e{i}" for i in range(self.config.endorsers))
 
     def bootstrap(self, preload: PreloadSpec | None = None, setup_payloads=()) -> int:
@@ -390,7 +403,8 @@ class _Engine:
         rings.update(ring)
         try:
             return co_endorse(
-                pending, ring, self.state, self.registry, self.design, self.roster
+                pending, ring, self.state, self.registry, self.design, self.roster,
+                self.member_order,
             )
         except AuthorizationError as exc:
             reason = f"authorization: {exc.reason}"

@@ -29,7 +29,7 @@ import pytest
 from consentledger.audit import ReplayMismatchError, TamperedLogError, replay_check
 from consentledger.bench import gen_sweep, run_bench, split_batches, table3_spec
 from consentledger.blocklog import BlockLog, MemoryLogStore, verify_chain
-from consentledger.contracts import execute_payload
+from consentledger.contracts import execute_payload, sorted_members
 from consentledger.keys import (
     ROLE_ASSIGNED,
     ROLE_REVOKED,
@@ -470,7 +470,7 @@ def _history_disagreement(history: int, registry, pools) -> tuple:
                 markers[(role, dc, wd)] = ROLE_REVOKED
         for design in designs:
             ctx = SimulationContext(states[design])
-            execute_payload(ctx, payload, design, roster)
+            execute_payload(ctx, payload, design, roster, sorted_members)
             apply_rwset(states[design], ctx.rwset())
 
     checked = 0
@@ -490,7 +490,9 @@ def _history_disagreement(history: int, registry, pools) -> tuple:
                         answers = []
                         for design in designs:
                             ctx = SimulationContext(states[design])
-                            record = execute_payload(ctx, payload, design, roster)
+                            record = execute_payload(
+                                ctx, payload, design, roster, sorted_members
+                            )
                             answers.append(
                                 (record.granted, record.consenting_individuals)
                             )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from consentledger.contracts import ContractError, execute_payload
+from consentledger.contracts import ContractError, execute_payload, sorted_members
 from consentledger.keys import (
     ROLE_ASSIGNED,
     ROLE_REVOKED,
@@ -32,7 +32,7 @@ FACT = ConsentFact("i1", "r1", "d1", "w1", "t1")
 
 def _run(state, payload, design, roster=()):
     ctx = SimulationContext(state)
-    result = execute_payload(ctx, payload, design, roster)
+    result = execute_payload(ctx, payload, design, roster, sorted_members)
     return ctx.rwset(), result
 
 

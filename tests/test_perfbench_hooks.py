@@ -31,9 +31,17 @@ TINY = {
 }
 
 
-@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
-def test_benchmark_round_runs_on_this_engine(name):
+@pytest.mark.parametrize(
+    "name, trace",
+    [pytest.param(name, False, id=name) for name in workloads.WORKLOADS]
+    + [pytest.param(name, True, id=f"{name}-traced") for name in workloads.WORKLOADS],
+)
+def test_benchmark_round_runs_on_this_engine(name, trace):
+    # a traced run calls every hook through the tracer's wrappers, so a
+    # signature the wrappers no longer fit fails here
     workload = workloads.WORKLOADS[name].scaled(**TINY[name])
-    out = run.measure(workload, seed=3, seconds=0, trace=False)
+    out = run.measure(workload, seed=3, seconds=0, trace=trace)
     assert out["result"]["correct"], out["record"]["problems"]
     assert out["result"]["failed"] == 0
+    if trace:
+        assert out["result"]["metrics"]["contracts.execute_cpu_us"]["value"] > 0

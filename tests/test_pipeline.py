@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from consentledger import pipeline, wire
 from consentledger.audit import replay_check
-from consentledger.blocklog import BlockLog, verify_chain
+from consentledger.blocklog import BlockLog, parse_block, verify_chain
 from consentledger.keys import (
     ConsentFact,
     KeyCodecError,
@@ -335,15 +335,25 @@ def test_threaded_rejection_leaves_no_gap():
 
 
 @pytest.mark.parametrize("engine", [SyncLedger, LedgerHarness])
-@pytest.mark.parametrize("member", ["a,b", ""])
-def test_unjoinable_raw_write_member_is_rejected(engine, member):
-    # a member set is one `,`-joined string on the wire, so this one could
-    # not be encoded: a rejection, never a worker fault
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param(frozenset({"i0", "a,b"}), id="a,b"),
+        pytest.param(frozenset({"i0", ""}), id=""),
+        pytest.param(frozenset({"i0", 1}), id="1"),
+        # not a value at all: neither a marker nor a member set
+        pytest.param(5, id="5"),
+        pytest.param({"i0"}, id="set"),
+    ],
+)
+def test_unjoinable_raw_write_member_is_rejected(engine, value):
+    # a member set is one `,`-joined string of str members on the wire, so
+    # this one could not be encoded: a rejection, never a worker fault
     registry = population_registry(4)
     cfg = PipelineConfig(block_size=4, client_threads=2, block_timeout_ms=20)
     ledger = engine(DESIGN, registry, cfg)
     good = [grant_consent(f.ind_id, f) for f in _facts(8, 4)]
-    bad = raw_write("i0", [("i0|w0|d0|t0", frozenset({"i0", member}))])
+    bad = raw_write("i0", [("i0|w0|d0|t0", value)])
     stats = ledger.run([good[:4] + [bad], good[4:]])
     assert stats.committed == 8
     assert stats.rejected == 1
@@ -927,3 +937,86 @@ def test_rwset_encoded_once_per_committed_tx(monkeypatch):
     # one encode per transaction: an access request reads the role key and
     # 5 consent keys, a role grant its role key
     assert encodes == {6: 4, 1: 1}
+
+
+# i0..i11 sorted: i10 and i11 come before i2
+PRELOADED_MEMBERS = tuple(sorted(f"i{i}" for i in range(12)))
+
+
+def _preloaded(engine, design=WorldStateDesign.IWS):
+    """An engine over 13 individuals whose preload consents i0..i11.
+
+    iws: r0..r5 share one member set of i0..i11. rws and rows: the keys
+    of i0..i11 (under r0 for rows) each hold one member, r0 or d0.
+    """
+    ledger = engine(design, population_registry(13), PipelineConfig(block_size=4))
+    if design is WorldStateDesign.IWS:
+        spec = PreloadSpec(design, 13, 6, 1, 1, 1, key_space=6, value_space=12)
+    else:
+        spec = PreloadSpec(design, 13, 6, 1, 1, 1, key_space=12, value_space=1)
+    ledger.bootstrap(spec, [assign_role("w0", "d0", "c0", "w0")])
+    return ledger
+
+
+def _requests(*res_ids):
+    return [access_request("c0", "c0", "d0", "w0", res, "t0") for res in res_ids]
+
+
+def _answers(ledger):
+    """Every committed access answer on the chain, in chain order."""
+    return [
+        tx.result.consenting_individuals
+        for record in ledger.log.store
+        for tx in parse_block(record).transactions
+        if tx.result is not None
+    ]
+
+
+@pytest.mark.parametrize("engine", [SyncLedger, LedgerHarness])
+def test_iws_answers_sort_a_preloaded_member_set_once(engine, monkeypatch):
+    sorted_members, sorts = pipeline.sorted_members, []
+
+    def counting(members):
+        sorts.append(len(members))
+        return sorted_members(members)
+
+    # the engine builds its memo around the function it finds then
+    monkeypatch.setattr(pipeline, "sorted_members", counting)
+    ledger = _preloaded(engine)
+    stats = ledger.run(_batches(_requests(*[f"r{i % 6}" for i in range(12)]), 2))
+    assert stats.committed == 12
+    assert sorts == [12]
+    assert _answers(ledger) == [PRELOADED_MEMBERS] * 12
+
+
+def test_iws_answer_after_a_grant_holds_the_new_member_in_order():
+    ledger = _preloaded(SyncLedger)
+    ledger.run([_requests("r0", "r1")])
+    stats = ledger.run([[grant_consent("i12", ConsentFact("i12", "r0", "d0", "w0", "t0"))]])
+    assert stats.committed == 1
+    stats = ledger.run([_requests("r0", "r1")])
+    assert stats.committed == 2
+    granted = tuple(sorted(PRELOADED_MEMBERS + ("i12",)))
+    assert granted.index("i12") == 4  # between i11 and i2
+    assert _answers(ledger) == [PRELOADED_MEMBERS] * 2 + [granted, PRELOADED_MEMBERS]
+    assert ledger.member_order.cache_info().misses == 2
+
+
+def test_member_order_memo_is_not_shared_across_engines():
+    first, second = _preloaded(SyncLedger), _preloaded(SyncLedger)
+    preloaded = [dict(ledger.state.items())["r0|w0|d0|t0"][0] for ledger in (first, second)]
+    assert preloaded[0] == preloaded[1] and preloaded[0] is not preloaded[1]
+    first.run([_requests("r0", "r1")])
+    second.run([_requests("r0")])
+    assert first.member_order.cache_info()[:2] == (1, 1)  # hits, misses
+    assert second.member_order.cache_info()[:2] == (0, 1)
+
+
+@pytest.mark.parametrize("design", [WorldStateDesign.RWS, WorldStateDesign.ROWS])
+def test_scanned_answers_sort_their_own_list(design):
+    # the scan lists i0..i11 in roster order; it never consults the memo
+    ledger = _preloaded(SyncLedger, design)
+    stats = ledger.run([_requests("r0", "r0")])
+    assert stats.committed == 2
+    assert _answers(ledger) == [PRELOADED_MEMBERS] * 2
+    assert ledger.member_order.cache_info()[:2] == (0, 0)
