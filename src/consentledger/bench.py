@@ -216,11 +216,24 @@ _SWEEP_CELLS["write-valuespace"] = _SWEEP_CELLS["valuespace"]
 
 def gen_sweep(
     kind: str,
-    design: WorldStateDesign = WorldStateDesign.IWS,
+    design: WorldStateDesign | None = None,
     total_txs: int | None = None,
     seed: int = 7,
 ) -> list:
-    """The workload specs for one named sweep, in run order."""
+    """The workload specs for one named sweep, in run order.
+
+    Only the conflict sweep takes a design, and runs iws without one. Any
+    other sweep given a design raises WorkloadError: table3 runs its own
+    rws and iws cells, and the raw sweeps run no contract.
+    """
+    if kind != "table3" and kind not in _SWEEP_CELLS:
+        raise WorkloadError(f"unknown workload kind {kind!r}")
+    if design is not None and kind != "conflict":
+        reason = (
+            "table3 runs its own rws and iws cells" if kind == "table3"
+            else f"{kind} is a raw sweep and runs no contract"
+        )
+        raise WorkloadError(f"--design applies only to the conflict sweep: {reason}")
     if kind == "table3":
         txs = total_txs if total_txs is not None else 10_000
         return [
@@ -228,10 +241,9 @@ def gen_sweep(
             for n_res, n_ind in TABLE3_CELLS
             for cell_design in (WorldStateDesign.RWS, WorldStateDesign.IWS)
         ]
-    if kind not in _SWEEP_CELLS:
-        raise WorkloadError(f"unknown workload kind {kind!r}")
     default_txs, cells, cell_fields = _SWEEP_CELLS[kind]
     txs = total_txs if total_txs is not None else default_txs
+    design = design if design is not None else WorldStateDesign.IWS
     common = dict(kind=kind, design=design, total_txs=txs, seed=seed)
     return [WorkloadSpec(**{**common, **cell_fields(cell)}).validate() for cell in cells]
 

@@ -6,7 +6,7 @@ Record layout (one block), all chunks length-prefixed:
     chunk prev_hash      (32 bytes; zeros for the genesis block)
     chunk payload_hash   (32 bytes; SHA-256 over the tx chunks)
     u32   tx count, then one chunk per endorsed transaction
-    u32   flag count, then u8 per transaction (1 valid, 0 invalidated)
+    u8    per transaction, in order (1 valid, 0 invalidated)
     chunk block_hash     (32 bytes)
 
 block_hash = SHA-256("block-v1", height, prev_hash, payload_hash, flags),
@@ -16,7 +16,8 @@ prev_hash. Validity flags sit inside the hash: flipping a flag on the tip
 block still breaks its own stored hash.
 
 A file-backed log is a sequence of [u32 record length][record]. Heights
-are dense from 0 (the genesis block, which carries no transactions).
+are dense from 0. Record 0 is the fixed genesis block, which carries no
+transactions: `verified_blocks` compares its hash with GENESIS_HASH.
 
 Each record is encoded once and parsed once. `make_block` encodes every
 transaction once, straight into the record while hashing the chunks into
@@ -134,7 +135,6 @@ def _encode_record(
         payload_hash = h.digest()
         out[hash_at : hash_at + 32] = payload_hash
         block_hash = _block_hash(height, prev_hash, payload_hash, validity)
-    out += wire.pack_u32(len(validity))
     out += bytes(1 if v else 0 for v in validity)
     out += wire.pack_chunk(block_hash)
     return bytes(out), payload_hash, block_hash
@@ -164,6 +164,9 @@ def genesis_block() -> Block:
     return make_block(0, ZERO_HASH, (), ())
 
 
+GENESIS_HASH = genesis_block().block_hash
+
+
 def serialize_block(block: Block) -> bytes:
     if block.record is not None:
         return block.record
@@ -191,14 +194,11 @@ def parse_block(record: bytes) -> Block:
         chunk = reader.take_chunk()
         wire.hash_chunk(read_hash, chunk)
         transactions.append(wire.decode_exact(chunk, EndorsedTransaction.from_reader))
-    n_flags = reader.take_u32()
-    validity = tuple(reader.take_flag() for _ in range(n_flags))
+    validity = tuple(reader.take_flag() for _ in range(n_txs))
     block_hash = reader.take_chunk()
     if len(block_hash) != 32:
         raise wire.WireError("hash fields must be 32 bytes")
     reader.expect_end()
-    if n_flags != n_txs:
-        raise wire.WireError(f"{n_txs} transactions but {n_flags} validity flags")
     block = Block(
         height=height,
         prev_hash=prev_hash,
@@ -310,9 +310,10 @@ def verified_blocks(store):
 
     A block checks out when its height and prev_hash continue the chain,
     the tx chunks it was read from hash to its payload_hash, and its
-    block_hash matches. The first record that cannot be read or parsed
-    (such as a torn tail) or fails a check raises TamperedLogError naming
-    its height, after every block before it has been yielded.
+    block_hash matches; block 0 must also be the genesis block itself.
+    The first record that cannot be read or parsed (such as a torn tail)
+    or fails a check raises TamperedLogError naming its height, after
+    every block before it has been yielded.
     """
     prev_hash = ZERO_HASH
     height = 0
@@ -329,6 +330,8 @@ def verified_blocks(store):
                 block.height, block.prev_hash, block.payload_hash, block.validity
             ) != block.block_hash:
                 raise TamperedLogError(height, "block_hash does not match the block")
+            if height == 0 and block.block_hash != GENESIS_HASH:
+                raise TamperedLogError(0, "not the genesis block")
             yield block
             prev_hash = block.block_hash
             height += 1

@@ -11,15 +11,17 @@
 bench runs one sweep (keyspace, valuespace, write-valuespace, txsize,
 table3, conflict), replays each cell's chain with the independent
 oracle, and prints one line per cell, whose aborted= count is the CSV
-aborted column; --out appends the pinned CSV rows. audit subjects are
-written kind:id, e.g. individual:i4, consumer:c0, watchdog:w0. verify
-exits 1 when the chain fails its hash walk, replay exits 1 when
-re-execution disagrees with the stored flags or answers. audit, verify
-and replay only read the log: a missing or empty log file exits 2 and is
-not created. A missing or malformed --registry or --config file (an
-unknown key, or a value that is not an integer in range) and a bad
---policy also exit 2, and so does a bench --log-file in a missing
-directory or one that already holds a chain, before any cell runs.
+aborted column; --out appends the pinned CSV rows. Only the conflict
+sweep takes --design (iws when it is not given); the other sweeps exit 2
+when it is given. audit subjects are written kind:id, e.g. individual:i4,
+consumer:c0, watchdog:w0. verify exits 1 when the chain fails its hash
+walk, replay exits 1 when re-execution disagrees with the stored flags
+or answers. audit, verify and replay only read the log: a missing or
+empty log file exits 2 and is not created. A missing or malformed
+--registry or --config file (an unknown key, or a value that is not an
+integer in range) and a bad --policy also exit 2, and so does a bench
+--log-file in a missing directory or one that already holds a chain,
+before any cell runs.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run one benchmark sweep")
     p_bench.add_argument("kind", choices=bench_mod.SWEEP_KINDS)
     p_bench.add_argument("--design", choices=[d.value for d in WorldStateDesign],
-                         default=WorldStateDesign.IWS.value)
+                         default=None, help="the conflict sweep's layout (default iws)")
     p_bench.add_argument("--block-size", type=int, default=None)
     p_bench.add_argument("--endorsers", type=int, default=None)
     p_bench.add_argument("--policy", type=str, default=None, metavar="m/k")
@@ -98,7 +100,7 @@ def _cell_log_paths(base: str, count: int) -> list:
 
 
 def cmd_bench(args) -> int:
-    design = WorldStateDesign.parse(args.design)
+    design = WorldStateDesign.parse(args.design) if args.design else None
     try:
         cfg = _bench_config(args)
         specs = bench_mod.gen_sweep(

@@ -8,11 +8,16 @@ from the chain.
 
 Wire layout of a payload: u8 kind, actor string, then the kind's fields
 in the order `PAYLOAD_FIELDS` lists them; the fields that are not plain
-strings carry their own codec. An endorsed transaction adds
-tx id, captured read-write set, endorser ids, a deterministic endorsement
-stub (SHA-256 over payload, rwset, and endorser ids; stands in for
-signatures, which are out of scope here), and the access decision when
-the operation produced one.
+strings carry their own codec, written inline with no frame of their
+own. An endorsed transaction is its tx id, the payload and the captured
+read-write set as one chunk each, the endorser ids, a deterministic
+endorsement stub (SHA-256 over payload, rwset, and endorser ids; stands
+in for signatures, which are out of scope here), and a has-result flag.
+When the operation produced an access decision, the flag is followed by
+that decision alone: a u8 granted flag and the consenting list. The
+decision's coordinates are its payload's, so they are not written again;
+`from_reader` takes them from the parsed payload, and `to_bytes` refuses
+a result whose coordinates differ from its payload's.
 
 Memos: checking an endorsement means recomputing the stub, which hashes
 the encoded payload and the whole encoded read-write set, and sealing a
@@ -35,8 +40,9 @@ carry private memos, all set through `memoize_stub`:
 Every memo is a pure function of the frozen payload, rwset and endorser
 ids, so none is an init field: a `dataclasses.replace` copy carries none
 and is checked and encoded from scratch. Decoding is canonical (every
-accepted chunk re-encodes to the same bytes), so a stub memo taken from
-read bytes equals one recomputed from the decoded fields.
+accepted payload or rwset chunk re-encodes to the same bytes), so a stub
+memo taken from read bytes equals one recomputed from the decoded
+fields.
 """
 
 from __future__ import annotations
@@ -102,13 +108,9 @@ def _take_fact(reader: wire.Reader) -> ConsentFact:
     return ConsentFact(*[reader.take_str() for _ in _FACT_FIELDS])
 
 
-def _pack_spec(spec: PreloadSpec) -> bytes:
-    return wire.pack_chunk(spec.to_bytes())
-
-
 def _take_spec(reader: wire.Reader) -> PreloadSpec:
     try:
-        return wire.decode_exact(reader.take_chunk(), PreloadSpec.from_reader)
+        return PreloadSpec.from_reader(reader)
     except (KeyCodecError, PreloadError) as exc:
         raise wire.WireError(f"bad state-init spec: {exc}") from exc
 
@@ -118,7 +120,7 @@ _FIELD_CODECS = {
     "fact": (_pack_fact, _take_fact),
     "read_keys": (wire.pack_strs, wire.Reader.take_strs),
     "write_items": (pack_writes, take_writes),
-    "init_spec": (_pack_spec, _take_spec),
+    "init_spec": (PreloadSpec.to_bytes, _take_spec),
 }
 _STR_CODEC = (wire.pack_str, wire.Reader.take_str)
 # kind -> (its code byte, (name, encode, decode) per field in wire order)
@@ -219,7 +221,11 @@ def state_init(actor: str, spec: PreloadSpec) -> TransactionPayload:
 
 @dataclass(frozen=True)
 class AccessGrantRecord:
-    """The committed answer to one access request."""
+    """The committed answer to one access request.
+
+    Only `granted` and the consenting list go on the wire; the
+    coordinates are the request payload's own (see the module docstring).
+    """
 
     dc_id: str
     role_id: str
@@ -228,17 +234,6 @@ class AccessGrantRecord:
     time_id: str
     granted: bool
     consenting_individuals: tuple = ()
-
-    def to_bytes(self) -> bytes:
-        out = [wire.pack_str(value) for value in access_coordinates(self)]
-        out.append(wire.pack_u8(1 if self.granted else 0))
-        out.append(wire.pack_strs(self.consenting_individuals))
-        return b"".join(out)
-
-    @classmethod
-    def from_reader(cls, reader: wire.Reader) -> "AccessGrantRecord":
-        coordinates = [reader.take_str() for _ in ACCESS_FIELDS]
-        return cls(*coordinates, reader.take_flag(), reader.take_strs())
 
 
 @dataclass(frozen=True)
@@ -294,11 +289,17 @@ class EndorsedTransaction:
             wire.pack_strs(self.endorser_ids),
             wire.pack_str(self.endorsement_stub),
         ]
-        if self.result is None:
+        result = self.result
+        if result is None:
             out.append(wire.pack_u8(0))
+        elif access_coordinates(result) != access_coordinates(self.payload):
+            raise ValueError("access result coordinates differ from the payload's")
         else:
-            out.append(wire.pack_u8(1))
-            out.append(wire.pack_chunk(self.result.to_bytes()))
+            out += (
+                wire.pack_u8(1),
+                wire.pack_u8(1 if result.granted else 0),
+                wire.pack_strs(result.consenting_individuals),
+            )
         return b"".join(out)
 
     @classmethod
@@ -312,7 +313,9 @@ class EndorsedTransaction:
         stub = reader.take_str()
         result = None
         if reader.take_flag():
-            result = wire.decode_exact(reader.take_chunk(), AccessGrantRecord.from_reader)
+            result = AccessGrantRecord(
+                *access_coordinates(payload), reader.take_flag(), reader.take_strs()
+            )
         tx = cls(
             tx_id=tx_id,
             payload=payload,

@@ -11,7 +11,8 @@ string marker (role assignments). Canonical value bytes, used for
 hashing and on-disk records, are tagged: 0x01 marker string, 0x02 sorted
 member set (one `wire` string list). A read set is stored as two
 columns: its keys as one `wire` string list, then its versions as one
-chunk of big-endian u64s, 8 bytes per key.
+chunk of big-endian u64s, 8 bytes per key. The writes follow as a u32
+count and, per write, its key string and its value bytes inline.
 """
 
 from __future__ import annotations
@@ -56,20 +57,18 @@ def value_from_reader(reader: wire.Reader) -> Value:
 
 
 def pack_writes(writes) -> bytes:
-    """A u32 count, then per write its key and its value bytes as a chunk."""
+    """A u32 count, then per write its key and its value bytes."""
     out = [wire.pack_u32(len(writes))]
     for key, value in writes:
-        out += (wire.pack_str(key), wire.pack_chunk(value_to_bytes(value)))
+        out += (wire.pack_str(key), value_to_bytes(value))
     return b"".join(out)
 
 
 def take_writes(reader: wire.Reader) -> tuple:
     """The (key, value) pairs written by `pack_writes`."""
-    writes = []
-    for _ in range(reader.take_u32()):
-        key = reader.take_str()
-        writes.append((key, wire.decode_exact(reader.take_chunk(), value_from_reader)))
-    return tuple(writes)
+    return tuple(
+        (reader.take_str(), value_from_reader(reader)) for _ in range(reader.take_u32())
+    )
 
 
 @dataclass(frozen=True)

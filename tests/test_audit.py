@@ -339,6 +339,47 @@ def test_replay_flags_rewritten_decision():
         replay_check(doctored, ledger.state, registry=registry)
 
 
+def test_resealed_record_cannot_name_another_resource():
+    """A re-sealed access record cannot claim another resource or consumer.
+
+    The record holds no coordinates of its own: rewriting them alone cannot
+    be encoded, and rewriting the payload with them breaks the endorsement.
+    """
+    from dataclasses import replace
+
+    ledger, registry = _scripted_ledger()
+    blocks = [parse_block(record) for record in ledger.log.store]
+    block, tx = next(
+        (block, tx)
+        for block in blocks
+        for tx, valid in zip(block.transactions, block.validity)
+        if valid and tx.result is not None and tx.result.granted
+    )
+    moved = dict(res_id="r3", dc_id="c9")
+    forged = replace(tx, result=replace(tx.result, **moved))
+    with pytest.raises(ValueError, match="coordinates"):
+        make_block(block.height, block.prev_hash, (forged,), block.validity)
+
+    forged = replace(forged, payload=replace(tx.payload, **moved))
+    doctored = MemoryLogStore()
+    prev_hash = None
+    for block in blocks:
+        txs = tuple(forged if t is tx else t for t in block.transactions)
+        rebuilt = make_block(
+            block.height,
+            prev_hash if prev_hash is not None else block.prev_hash,
+            txs,
+            block.validity,
+        )
+        prev_hash = rebuilt.block_hash
+        doctored.append(serialize_block(rebuilt))
+    assert blocklog.verify_chain(doctored) is None
+    report = replay_oracle(doctored, registry=registry)
+    assert report.flag_mismatches
+    with pytest.raises(ReplayMismatchError):
+        replay_check(doctored, ledger.state, registry=registry)
+
+
 def test_replay_flags_authorization_breach():
     ledger, _registry = _scripted_ledger()
     # a registry that no longer contains c0 makes the history unauthorized

@@ -46,6 +46,17 @@ def test_sweep_shapes():
         gen_sweep("nonsense")
 
 
+def test_only_the_conflict_sweep_takes_a_design():
+    assert {s.design for s in gen_sweep("conflict")} == {IWS}
+    assert {s.design for s in gen_sweep("conflict", design=ROWS)} == {ROWS}
+    # the refusal names the real reason (every refused kind exits 2 in
+    # tests/test_cli.py::test_bad_inputs_exit_2)
+    with pytest.raises(WorkloadError, match="table3 runs its own rws and iws cells"):
+        gen_sweep("table3", design=IWS)
+    with pytest.raises(WorkloadError, match="txsize is a raw sweep and runs no contract"):
+        gen_sweep("txsize", design=RWS)
+
+
 def test_keyspace_sweep_covers_the_planned_cells():
     specs = gen_sweep("keyspace", total_txs=100)
     assert [s.key_space for s in specs] == list(KEYSPACE_CELLS)

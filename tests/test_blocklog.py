@@ -70,6 +70,15 @@ def test_genesis_roundtrip():
     assert parse_block(serialize_block(genesis)) == genesis
 
 
+def test_record_zero_must_be_the_genesis_block():
+    """A sound block at height 0 that carries transactions is refused."""
+    store = MemoryLogStore()
+    store.append(serialize_block(make_block(0, ZERO_HASH, (_tx("tx-1", 0, {"i1"}),), (True,))))
+    assert verify_chain(store) == 0
+    with pytest.raises(ChainError, match="not the genesis block"):
+        BlockLog(store)
+
+
 def test_fresh_log_starts_at_genesis():
     log = BlockLog()
     assert log.height == 0

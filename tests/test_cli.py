@@ -4,7 +4,14 @@ import csv
 
 import pytest
 
-from consentledger.blocklog import BlockLog, FileLogStore
+from consentledger.blocklog import (
+    ZERO_HASH,
+    BlockLog,
+    FileLogStore,
+    make_block,
+    parse_block,
+    serialize_block,
+)
 from consentledger.cli import _bench_config, build_parser, main
 from consentledger.keys import ConsentFact, WorldStateDesign
 from consentledger.membership import population_registry
@@ -135,6 +142,19 @@ def test_verify_and_replay_detect_tampering(tmp_path, capsys):
     assert "refusing" in err.err
 
 
+def test_verify_refuses_a_chain_without_the_genesis_block(tmp_path, capsys):
+    log_path, _, _ = _write_scripted_log(tmp_path)
+    blocks = [parse_block(record) for record in FileLogStore(log_path)]
+    # the first committed block, re-sealed at height 0 in genesis's place
+    first = blocks[1]
+    forged = tmp_path / "no-genesis.log"
+    store = FileLogStore(forged)
+    store.append(serialize_block(make_block(0, ZERO_HASH, first.transactions, first.validity)))
+    store.close()
+    assert main(["verify", "--log", str(forged)]) == 1
+    assert "failed at height 0: not the genesis block" in capsys.readouterr().out
+
+
 def test_replay_reports_summary(tmp_path, capsys):
     log_path, registry_path, digest = _write_scripted_log(tmp_path)
     code = main(
@@ -204,6 +224,11 @@ def test_verify_truncation_at_every_offset(tmp_path, capsys):
         ["bench", "conflict", "--config", "{retired}"],
         ["bench", "conflict", "--config", "{policy}", "--endorsers", "5"],
         ["bench", "conflict", "--log-file", "{missing}/chain.log"],
+        ["bench", "table3", "--design", "iws"],
+        ["bench", "keyspace", "--design", "iws"],
+        ["bench", "valuespace", "--design", "rws"],
+        ["bench", "write-valuespace", "--design", "rows"],
+        ["bench", "txsize", "--design", "iws"],
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, args):

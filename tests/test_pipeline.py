@@ -749,42 +749,57 @@ def _golden_digest(design, policy):
         )
     )
     rng = random.Random(1910)
-    h = hashlib.sha256()
+    verdicts, chain = hashlib.sha256(), hashlib.sha256()
     receipts = []
     for _ in range(12):
         batch = [_golden_op(rng, design) for _ in range(rng.randrange(8, 24))]
         receipts += ledger.run([batch]).receipts
-        h.update(digest_entries(dict(ledger.state.items())).encode())
+        verdicts.update(digest_entries(dict(ledger.state.items())).encode())
     for record in ledger.log.store:
-        h.update(wire.pack_chunk(record))
+        chain.update(wire.pack_chunk(record))
+        block = parse_block(record)
+        for tx, valid in zip(block.transactions, block.validity):
+            answer = ""
+            if tx.result is not None:
+                answer = f"{tx.result.granted}:{','.join(tx.result.consenting_individuals)}"
+            verdicts.update(wire.pack_str(f"{block.height}|{tx.tx_id}|{int(valid)}|{answer}"))
     for r in receipts:
         fields = (r.tx_id, r.client_id, r.seq, r.status.value, r.block_height,
                   r.retry_count, r.reason)
-        h.update(wire.pack_str("|".join(map(str, fields))))
-    return h.hexdigest(), receipts
+        verdicts.update(wire.pack_str("|".join(map(str, fields))))
+    return verdicts.hexdigest(), chain.hexdigest(), receipts
 
 
-# SHA-256 over state digests, chain records and receipts of one fixed-seed
-# history per design and policy; a change here changes chain bytes or verdicts
-GOLDEN = {
-    ("iws", "1/2"): "f4a197e4f52908262971d6f9b190cc63edb92b0cbe083cd69f9826bd505cc25f",
-    ("iws", "2/3"): "4525b319cf9e63105fe44963a801d4b88b782157118ded4197997b08c4f1b2a9",
-    ("rws", "1/2"): "115f8c0b1a789e8225ded8351832a658cf11ae8954f7241ae07b1b04bce98d09",
-    ("rws", "2/3"): "39ae84cad8f1a7d56c3a1d1da9a9df6cc4520ea0f56d196d724d4087b8ef894e",
-    ("rows", "1/2"): "1467aafe31e51fa7b089b5747bc39f56a8fdf24ac731f99d5abb1ceb547c8080",
-    ("rows", "2/3"): "c97df59df0fd882584c2c6319f76bd12994a980c65b1118e280ba5ee99bddbb7",
+# one fixed-seed history per design and policy, hashed twice. The verdict
+# digest covers the state digests, each committed transaction's validity
+# and access answer, and the receipts; it holds across wire revisions.
+# The chain digest covers the raw records and moves with any change to
+# chain bytes.
+GOLDEN_VERDICTS = {
+    "iws": "839a56476eee93359e7491c9466b9e49497aa9e0e89fa865de1eccfb317dcab6",
+    "rws": "7e4eb5303acbddd0c5b82e7da467e0f0a8e0fc49ebafe1a7301a2ced03155f0c",
+    "rows": "9b78a93fada5833eeca285ea2243f08e0b0a09e976110627284727b95bb489e2",
+}
+GOLDEN_CHAIN = {
+    ("iws", "1/2"): "fa285e1d8a6eeb1f3a72cb9996a3326db3b49772ba2723eec1e717783d20b634",
+    ("iws", "2/3"): "0f69be93606f9d846d1e6f63f6c2f1b0afc2f0b6a6da91d0405c8e6b35c2a14f",
+    ("rws", "1/2"): "74700533ed9a9c6d4329f8440addda2f446d788e14e38b994457d83ee5bac19b",
+    ("rws", "2/3"): "8292f22d94d1b0988209579208d23097938ee72932494e30b1f7326e9e55e54b",
+    ("rows", "1/2"): "b942c2a53143880a4029b02b6e0804ae18c1bb00d445c49f940c5c2388621af9",
+    ("rows", "2/3"): "7127149791319952f7de9335c01139bbef3c9b77175a34b77aeeda459f556f45",
 }
 
 
 @pytest.mark.parametrize("design", list(WorldStateDesign))
 @pytest.mark.parametrize("policy", ["1/2", "2/3"])
 def test_golden_sync_history(design, policy):
-    digest, receipts = _golden_digest(design, policy)
+    verdicts, chain, receipts = _golden_digest(design, policy)
     statuses = Counter(r.status for r in receipts)
     assert statuses[Status.COMMITTED] and statuses[Status.REJECTED]
     assert any(r.reason.startswith("contract:") for r in receipts)
     assert any(r.reason == "conflict" and r.retry_count == 1 for r in receipts)
-    assert digest == GOLDEN[(design.value, policy)]
+    assert verdicts == GOLDEN_VERDICTS[design.value]
+    assert chain == GOLDEN_CHAIN[(design.value, policy)]
 
 
 def _passes_grammar(key) -> bool:
